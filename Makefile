@@ -40,7 +40,8 @@ bench-diff:
 	dune exec bench/main.exe -- diff
 
 # Determinism smoke: two same-seed 2-client server runs must produce
-# byte-identical JSON reports (the server's core contract).
+# byte-identical JSON reports (the server's core contract), and the
+# one-volume report must carry the per-volume array like any other.
 serve-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/serve-smoke && mkdir -p _build/serve-smoke
@@ -50,6 +51,7 @@ serve-smoke:
 	./_build/default/bin/cedar.exe serve _build/serve-smoke/vol.img \
 		--clients 2 --json > _build/serve-smoke/run2.json
 	cmp _build/serve-smoke/run1.json _build/serve-smoke/run2.json
+	@grep -q '"volumes"' _build/serve-smoke/run1.json
 	@echo "serve-smoke: deterministic"
 
 # Multi-volume determinism smoke: two same-seed 2-volume sharded server

@@ -117,32 +117,45 @@ let mkdir_p path =
   (try Sys.mkdir parent 0o755 with Sys_error _ -> ());
   try Sys.mkdir path 0o755 with Sys_error _ -> ()
 
+(* The drift lines for one snapshot, and the host seconds its
+   regeneration took (0 when there is nothing to regenerate). *)
 let diff_one name regen =
-  if not (Sys.file_exists name) then [ name ^ ": no committed snapshot" ]
+  if not (Sys.file_exists name) then ([ name ^ ": no committed snapshot" ], 0.)
   else begin
     let fresh = Filename.concat scratch_dir name in
+    let t0 = Unix.gettimeofday () in
     regen fresh;
+    let host_s = Unix.gettimeofday () -. t0 in
     let want = parse name name and got = parse fresh fresh in
-    List.rev (diff ~path:name ~key:"" want got [])
+    (List.rev (diff ~path:name ~key:"" want got []), host_s)
   end
 
 let run ?out () =
   Setup.hr "snapshot drift check (regenerate every BENCH_*.json and compare)";
   mkdir_p scratch_dir;
-  let results = List.map (fun (name, regen) -> (name, diff_one name regen)) snapshots in
-  Setup.hr "bench-diff verdict";
+  let results =
+    List.map
+      (fun (name, regen) ->
+        let drift, host_s = diff_one name regen in
+        (name, drift, host_s))
+      snapshots
+  in
+  Setup.hr "bench-diff verdict (host seconds to regenerate each snapshot)";
   let total =
-    List.fold_left (fun n (name, drift) ->
+    List.fold_left (fun n (name, drift, host_s) ->
         (match drift with
-        | [] -> Printf.printf "  %-24s ok\n" name
+        | [] -> Printf.printf "  %-24s %7.1f s  ok\n" name host_s
         | ds ->
-          Printf.printf "  %-24s %d field(s) drifted\n" name (List.length ds);
+          Printf.printf "  %-24s %7.1f s  %d field(s) drifted\n" name host_s
+            (List.length ds);
           List.iteri (fun i d -> if i < 12 then Printf.printf "    %s\n" d) ds;
           if List.length ds > 12 then
             Printf.printf "    ... and %d more\n" (List.length ds - 12));
         n + List.length drift)
       0 results
   in
+  Printf.printf "  %-24s %7.1f s\n" "total"
+    (List.fold_left (fun s (_, _, host_s) -> s +. host_s) 0. results);
   (match out with
   | None -> ()
   | Some path ->
@@ -154,7 +167,7 @@ let run ?out () =
           ( "snapshots",
             J.Obj
               (List.map
-                 (fun (name, ds) ->
+                 (fun (name, ds, _) ->
                    (name, J.Arr (List.map (fun d -> J.Str d) ds)))
                  results) );
         ]

@@ -3,17 +3,15 @@
    dune exec bench/main.exe            -- reproduce every paper table
    dune exec bench/main.exe -- table2  -- one table (table1..table5,
                                           recovery-model, group-commit,
-                                          log-records, vam, model, log-util)
-   dune exec bench/main.exe -- --micro -- Bechamel microbenchmarks too *)
+                                          log-records, vam, model, log-util) *)
 
 let usage () =
   prerr_endline
-    "usage: main.exe [table1|table2|table3|table4|table5|recovery-model|group-commit|log-records|vam|model|log-util|vam-logging|log-size|fragmentation|obs-json|clients|faultsweep|recovery|wrap|timeline|breakdown|volumes|qdepth|diff|all] [--micro] [--out PATH]";
+    "usage: main.exe [table1|table2|table3|table4|table5|recovery-model|group-commit|log-records|vam|model|log-util|vam-logging|log-size|fragmentation|obs-json|clients|faultsweep|recovery|wrap|timeline|breakdown|volumes|qdepth|diff|all] [--out PATH]";
   exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let micro = List.mem "--micro" args in
   (* --out PATH redirects obs-json's output file. *)
   let rec split_out acc = function
     | "--out" :: path :: rest -> (Some path, List.rev_append acc rest)
@@ -21,8 +19,7 @@ let () =
     | a :: rest -> split_out (a :: acc) rest
     | [] -> (None, List.rev acc)
   in
-  let out, args = split_out [] args in
-  let targets = List.filter (fun a -> a <> "--micro") args in
+  let out, targets = split_out [] args in
   print_endline
     "Reimplementing the Cedar File System Using Logging and Group Commit";
   print_endline "(Hagmann, SOSP 1987) -- reproduction harness";
@@ -56,8 +53,4 @@ let () =
     | "all" -> Bench_tables.all ()
     | _ -> usage ()
   in
-  (match targets with [] -> Bench_tables.all () | ts -> List.iter run ts);
-  if micro then begin
-    Setup.hr "Bechamel microbenchmarks (host time per operation)";
-    Micro.run ()
-  end
+  match targets with [] -> Bench_tables.all () | ts -> List.iter run ts

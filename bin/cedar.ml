@@ -483,14 +483,13 @@ let print_serve_report json r =
       (r.S.wait_p99_us /. 1000.) (r.S.wait_max_us /. 1000.) r.S.wait_n;
     Printf.printf "batches: %d, mean %.1f sessions woken, max %.0f\n"
       r.S.batch_n r.S.batch_mean r.S.batch_max;
-    if List.length r.S.per_volume > 1 then
-      List.iter
-        (fun v ->
-          Printf.printf
-            "  volume %d: %d log forces (%d server-initiated), %d acked%s\n"
-            v.S.vr_volume v.S.vr_log_forces v.S.vr_server_forces v.S.vr_acked
-            (if v.S.vr_crashed then ", CRASHED" else ""))
-        r.S.per_volume;
+    List.iter
+      (fun v ->
+        Printf.printf
+          "  volume %d: %d log forces (%d server-initiated), %d acked%s\n"
+          v.S.vr_volume v.S.vr_log_forces v.S.vr_server_forces v.S.vr_acked
+          (if v.S.vr_crashed then ", CRASHED" else ""))
+      r.S.per_volume;
     List.iter
       (fun s ->
         Printf.printf

@@ -57,16 +57,16 @@ type t = {
   mutable head_cyl : int;
   mutable write_crash : (int * tear) option; (* sectors until trigger, tear *)
   mutable observer : (rw:[ `R | `W ] -> sector:int -> count:int -> unit) option;
-  (* Deferred timing: commands queue on this device's own timeline
-     instead of advancing the shared clock, so several devices overlap
-     in simulated time. See [set_deferred]. *)
+  (* Whether the issuer waits: a synchronous device advances the shared
+     clock to each command's completion, a deferred one leaves it alone
+     so several devices overlap in simulated time. See [set_deferred]. *)
   mutable deferred : bool;
-  mutable busy_horizon : int; (* device-local completion time of the last command *)
-  (* Request queue (set_queue): data/label effects still happen at issue,
-     but the mechanical timing of up to [qdepth] outstanding commands is
-     resolved lazily, in the order [qpolicy] picks them. *)
+  mutable busy_horizon : int; (* completion time of the last serviced request *)
+  (* Request queue: data/label effects happen at issue, but the timing
+     of up to [qdepth] outstanding requests is resolved lazily, in the
+     order [qpolicy] picks them. Depth 1 services at issue. *)
   mutable qpolicy : policy;
-  mutable qdepth : int; (* < 2 means the queue is off *)
+  mutable qdepth : int;
   mutable queue : request list; (* pending, enqueue (= id) order *)
   mutable next_req_id : int;
   req_done : (int, int) Hashtbl.t; (* request id -> service completion time *)
@@ -107,7 +107,7 @@ let create ?(id = 0) ?trace ?metrics ~clock geom =
       deferred = false;
       busy_horizon = 0;
       qpolicy = Fifo;
-      qdepth = 0;
+      qdepth = 1;
       queue = [];
       next_req_id = 1;
       req_done = Hashtbl.create 256;
@@ -129,27 +129,32 @@ let check_sector t s =
     invalid_arg (Printf.sprintf "Device: sector %d out of range" s)
 
 (* ------------------------------------------------------------------ *)
-(* Timing engine                                                       *)
+(* Timing engine: one request path                                     *)
 
-(* Rotational phase is derived from the command's start time, so the
-   platter "keeps spinning" between commands: an operation issued right
-   after another on the same track pays a full revolution unless the
-   target sector is still ahead of the head — exactly the
-   lost-revolution effect of §6. In the default synchronous mode a
-   command starts now and advances the shared clock by its duration; in
-   deferred mode it starts when this device's previous command finishes
-   ([busy_horizon]), the clock is untouched, and the caller schedules
-   the completion. With a request queue ([set_queue]) the mechanics run
-   even later: at the service point the policy picks for the request,
-   which is where seek distance and arm position are charged. *)
+(* Every command is a request on this device's service timeline, and
+   [service] alone times it. Rotational phase is derived from the start
+   of service, so the platter "keeps spinning" between commands: an
+   operation issued right after another on the same track pays a full
+   revolution unless the target sector is still ahead of the head —
+   exactly the lost-revolution effect of §6. A request starts once it
+   has been issued, the device has finished its previous request
+   ([busy_horizon]) and the clock has got there. At depth 1 nothing can
+   be reordered, so a request is serviced at issue; deeper queues
+   service it at the point the policy picks it ([set_queue]). The one
+   mode bit, [deferred], says whether the issuer waits: a synchronous
+   issuer's clock advances to the completion of a request serviced at
+   issue, a deferred one leaves the clock alone and schedules the
+   completion itself ([busy_until], [issuer_done_at]). *)
 
-(* The mechanical cost of one command that begins service at [start],
-   from the current arm position. Seek stats, [head_cyl] and the trace
-   events are all charged here — i.e. in service order — and the events
-   are stamped at [start] under [span], the span of the op that issued
-   the command (not whatever op happens to be open at service time). *)
-let mechanics t ~span ~start ~sector ~count ~write =
+(* Service one request: the only place mechanics are charged. Seek
+   stats, [head_cyl] and the trace events are charged here — i.e. in
+   service order — and the events are stamped at the start of service
+   under [span], the span of the op that issued the request (not
+   whatever op happens to be open at service time). Leaves the
+   completion time in [busy_horizon]. *)
+let service t ~span ~enq_at ~sector ~count ~write =
   let g = t.geom in
+  let start = max (max (Simclock.now t.clock) t.busy_horizon) enq_at in
   let chs = Geometry.to_chs g sector in
   let dist = abs (chs.cyl - t.head_cyl) in
   let seek = Geometry.seek_us g dist in
@@ -194,18 +199,7 @@ let mechanics t ~span ~start ~sector ~count ~write =
     Trace.emit_span t.trace ~span ~at:start
       (if write then Trace.Dev_write { dev = t.id; sector; count; us = dur }
        else Trace.Dev_read { dev = t.id; sector; count; us = dur });
-  dur
-
-(* Non-queued path: service immediately (synchronous) or at this
-   device's busy horizon (deferred). Either way service order is issue
-   order, so the only queue-mode difference is where time is charged. *)
-let run_now t ~sector ~count ~write =
-  let now = Simclock.now t.clock in
-  let start = if t.deferred then max now t.busy_horizon else now in
-  let span = Trace.current_span t.trace in
-  let dur = mechanics t ~span ~start ~sector ~count ~write in
-  if t.deferred then t.busy_horizon <- start + dur
-  else Simclock.advance t.clock dur
+  t.busy_horizon <- start + dur
 
 (* ------------------------------------------------------------------ *)
 (* Request queue                                                       *)
@@ -253,34 +247,38 @@ let service_one t =
   let r = pick t in
   t.queue <- List.filter (fun x -> x.req_id <> r.req_id) t.queue;
   List.iter (fun x -> x.req_passes <- x.req_passes + 1) t.queue;
-  let start = max (max (Simclock.now t.clock) t.busy_horizon) r.req_enq_at in
-  let dur =
-    mechanics t ~span:r.req_span ~start ~sector:r.req_sector
-      ~count:r.req_count ~write:r.req_write
-  in
-  t.busy_horizon <- start + dur;
-  Hashtbl.replace t.req_done r.req_id (start + dur)
+  service t ~span:r.req_span ~enq_at:r.req_enq_at ~sector:r.req_sector
+    ~count:r.req_count ~write:r.req_write;
+  Hashtbl.replace t.req_done r.req_id t.busy_horizon
 
-let enqueue t ~sector ~count ~write =
-  (* A full tag queue blocks the host: service until a slot frees up. *)
-  while List.length t.queue >= t.qdepth do
-    service_one t
-  done;
+(* Issue one command as request [issued t + 1]. *)
+let submit t ~sector ~count ~write =
   let id = t.next_req_id in
   t.next_req_id <- id + 1;
-  t.queue <-
-    t.queue
-    @ [
-        {
-          req_id = id;
-          req_sector = sector;
-          req_count = count;
-          req_write = write;
-          req_enq_at = Simclock.now t.clock;
-          req_span = Trace.current_span t.trace;
-          req_passes = 0;
-        };
-      ]
+  let enq_at = Simclock.now t.clock and span = Trace.current_span t.trace in
+  if not (queued t) then begin
+    service t ~span ~enq_at ~sector ~count ~write;
+    if not t.deferred then Simclock.advance_to t.clock t.busy_horizon
+  end
+  else begin
+    (* A full tag queue blocks the host: service until a slot frees up. *)
+    while List.length t.queue >= t.qdepth do
+      service_one t
+    done;
+    t.queue <-
+      t.queue
+      @ [
+          {
+            req_id = id;
+            req_sector = sector;
+            req_count = count;
+            req_write = write;
+            req_enq_at = enq_at;
+            req_span = span;
+            req_passes = 0;
+          };
+        ]
+  end
 
 let drain_all t =
   while t.queue <> [] do
@@ -293,8 +291,9 @@ let request_done_at t req =
   let rec go () =
     match Hashtbl.find_opt t.req_done req with
     | Some at -> at
+    | None when t.queue = [] ->
+      invalid_arg "Device.request_done_at: request was serviced at issue"
     | None ->
-      assert (t.queue <> []);
       service_one t;
       go ()
   in
@@ -310,43 +309,53 @@ let requests_done_at t ~first ~last =
 let issued t = t.next_req_id - 1
 let queue_length t = List.length t.queue
 
+(* A synchronous depth-1 device never runs ahead of its issuer: whatever
+   an earlier mode left on the timeline is not waited for, and the next
+   request starts at the current clock. *)
+let settle t =
+  if (not t.deferred) && t.qdepth = 1 then
+    t.busy_horizon <- min t.busy_horizon (Simclock.now t.clock)
+
 let set_queue t ~policy ~depth =
   if depth < 1 then invalid_arg "Device.set_queue: depth < 1";
   drain_all t;
   t.qpolicy <- policy;
-  t.qdepth <- depth
+  t.qdepth <- depth;
+  settle t
 
 let queue_config t = (t.qpolicy, t.qdepth)
+
+let set_deferred t on =
+  t.deferred <- on;
+  settle t
+
+let deferred t = t.deferred
+
+(* A force is a synchronization barrier: everything outstanding is
+   serviced (per policy) before the horizon is read. *)
+let busy_until t =
+  drain_all t;
+  max (Simclock.now t.clock) t.busy_horizon
+
+let issuer_done_at t ~first =
+  let now = Simclock.now t.clock in
+  if not (queued t) then Some (max now t.busy_horizon)
+  else if first > issued t then Some now
+  else None
 
 let charge_read t ~sector ~count =
   t.stats.ios <- t.stats.ios + 1;
   t.stats.reads <- t.stats.reads + 1;
   t.stats.sectors_read <- t.stats.sectors_read + count;
-  if queued t then enqueue t ~sector ~count ~write:false
-  else run_now t ~sector ~count ~write:false;
+  submit t ~sector ~count ~write:false;
   match t.observer with Some f -> f ~rw:`R ~sector ~count | None -> ()
 
 let charge_write t ~sector ~count =
   t.stats.ios <- t.stats.ios + 1;
   t.stats.writes <- t.stats.writes + 1;
   t.stats.sectors_written <- t.stats.sectors_written + count;
-  if queued t then enqueue t ~sector ~count ~write:true
-  else run_now t ~sector ~count ~write:true;
+  submit t ~sector ~count ~write:true;
   match t.observer with Some f -> f ~rw:`W ~sector ~count | None -> ()
-
-let set_deferred t on = t.deferred <- on
-let deferred t = t.deferred
-
-let busy_until t =
-  let now = Simclock.now t.clock in
-  if queued t then begin
-    (* A force is a synchronization barrier: everything outstanding is
-       serviced (per policy) before the horizon is read. *)
-    drain_all t;
-    max now t.busy_horizon
-  end
-  else if t.deferred then max now t.busy_horizon
-  else now
 
 (* ------------------------------------------------------------------ *)
 (* Raw store                                                           *)

@@ -65,31 +65,50 @@ val metrics : t -> Cedar_obs.Metrics.t
 (** The volume-wide metrics registry; every layer above registers its
     instruments here. *)
 
-(** {1 Deferred timing (multi-device parallelism)} *)
+(** {1 Timing: one request path}
+
+    Every command is a request on the device's own service timeline. A
+    request starts once it has been issued, the device has finished its
+    previous request and the clock has got there; the mechanical model
+    (seek from the current arm position, rotation phase at the start of
+    service, transfer) times it, and all [Iostats] accounting happens
+    there. At depth 1 (the default) nothing can be reordered, so a
+    request is serviced at issue; a deeper queue ({!set_queue}) services
+    it when its policy picks it. Data and label effects (contents, the
+    crash budget, the observer, count stats) always happen at issue. *)
 
 val set_deferred : t -> bool -> unit
-(** In the default synchronous mode every command advances the shared
-    clock by its duration, so commands on different devices serialise in
-    simulated time. With [set_deferred t true] a command instead starts
-    at [max now (busy_until t)] — queueing behind this device's previous
-    command only — updates {!busy_until}, and leaves the clock alone;
-    commands on different devices then overlap, which is what lets a
-    multi-volume server scale. The caller owns completion: it must not
-    treat a command's result as available before [busy_until t] (the
-    multi-volume scheduler parks the issuing session until then). The
-    mechanical model (seek, rotation phase at command start, transfer)
-    and all [Iostats] accounting are identical in both modes. *)
+(** The one mode bit: whether the issuer waits. A synchronous device
+    (the default) advances the shared clock to the completion of each
+    request it services at issue, so commands on different devices
+    serialise in simulated time. With [set_deferred t true] the clock is
+    left alone; commands on different devices then overlap, which is
+    what lets a multi-volume server scale. The caller owns completion:
+    it must not treat a command's result as available before
+    {!busy_until} (the server parks the issuing session until then).
+    Switching back to synchronous at depth 1 drops the deferred
+    horizon: the next command starts at the current clock. *)
 
 val deferred : t -> bool
 
 val busy_until : t -> int
-(** Completion time of this device's latest command: the virtual instant
-    the caller may consume its result. Equals [Simclock.now] in
-    synchronous mode (commands complete before returning). With a
-    request queue enabled this is a synchronization barrier: every
-    pending request is serviced (in policy order) first — which is what
-    a group-commit force wants, and why per-request completions go
-    through {!requests_done_at} instead. *)
+(** Completion time of this device's latest request, never earlier than
+    the clock: the virtual instant the caller may consume every result
+    issued so far. Equals [Simclock.now] on a synchronous device at
+    depth 1. It is a synchronization barrier: every pending request is
+    serviced (in policy order) first — which is what a group-commit
+    force wants, and why per-request completions go through
+    {!requests_done_at} instead. *)
+
+val issuer_done_at : t -> first:int -> int option
+(** When the issuer of requests [first .. issued t] may consume their
+    results, if that is known without servicing anything. At depth 1
+    every request was serviced at issue, so it is [Some] of the device
+    horizon (as {!busy_until}) — also for an issuer that issued
+    nothing, which still waits behind the requests before it. At depth
+    ≥ 2 an issuer that issued nothing is done now ([Some now]); one
+    that issued requests gets [None] and must wait for their
+    policy-ordered service ({!requests_done_at}). *)
 
 (** {1 Request queue (disk-arm scheduling)} *)
 
@@ -109,38 +128,34 @@ val policy_of_string : string -> policy option
 (** ["fifo"], ["elevator"], ["sstf"]. *)
 
 val set_queue : t -> policy:policy -> depth:int -> unit
-(** Give the device a request queue of [depth] slots. Data and label
-    effects (contents, crash budget, the observer, count stats) still
-    happen when a command is issued, but its mechanical timing — seek
-    from the {e current} arm position, rotation, transfer — is resolved
-    at the service point the policy picks, so seeks and [head_cyl] are
-    charged in service order. A full queue services one request to
-    free a slot before accepting the next. Any pending requests under
-    the previous configuration are drained first.
-
-    [depth < 2] degenerates to the plain synchronous/deferred path
-    (service order is issue order and nothing is ever outstanding), and
-    is byte-identical to a device without a queue — the determinism pin
-    for the scheduler seam. Raises [Invalid_argument] if [depth < 1]. *)
+(** Give the device a request queue of [depth] slots. A request's
+    timing is resolved at the service point the policy picks, so seeks
+    and the arm position are charged in service order. A full queue
+    services one request to free a slot before accepting the next. Any
+    pending requests under the previous configuration are drained
+    first. [depth = 1] services every request at issue — the same path
+    a device without a queue takes. Raises [Invalid_argument] if
+    [depth < 1]. *)
 
 val queue_config : t -> policy * int
-(** Current [(policy, depth)]; depth 0 until {!set_queue}. *)
+(** Current [(policy, depth)]; [(Fifo, 1)] until {!set_queue}. *)
 
 val queued : t -> bool
-(** Whether the request queue is live (configured with depth ≥ 2). *)
+(** Whether requests can be outstanding (depth ≥ 2). *)
 
 val queue_length : t -> int
 (** Requests currently pending (also the ["device.qdepth"] gauge). *)
 
 val issued : t -> int
-(** Id of the most recently enqueued request, 0 before any. Ids are
+(** Id of the most recently issued request, 0 before any. Ids are
     dense, so the requests a caller issued during an operation are
     exactly [issued t + 1 .. issued t'] around it. *)
 
 val request_done_at : t -> int -> int
-(** Completion time of request [id], servicing pending requests (in
-    policy order) until it has run. Raises [Invalid_argument] for an id
-    never issued. *)
+(** Completion time of request [id] issued to a queue of depth ≥ 2,
+    servicing pending requests (in policy order) until it has run.
+    Raises [Invalid_argument] for an id never issued, or one serviced
+    at issue (depth 1), whose completion {!issuer_done_at} reports. *)
 
 val requests_done_at : t -> first:int -> last:int -> int
 (** Latest completion time over the id range — when an op whose

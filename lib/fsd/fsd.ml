@@ -21,23 +21,8 @@ type boot_report = {
   total_us : int;
 }
 
-type counters = {
-  mutable ops : int;
-  mutable forces : int;
-  mutable empty_forces : int;
-  mutable leader_piggybacks : int;
-  mutable leader_home_writes : int;
-  mutable vam_base_rewrites : int;
-  mutable scrub_passes : int;
-  mutable scrub_fnt_repairs : int;
-  mutable scrub_leader_repairs : int;
-  mutable home_write_bursts : int;
-  mutable reclaim_stalls : int;
-}
-
 (* Registry-backed counter handles; registered (fresh, zeroed) on every
-   boot under "fsd.*" names, which preserves the historical per-boot
-   reset semantics of the [counters] snapshot. *)
+   boot under "fsd.*" names, so every count restarts at boot. *)
 type meters = {
   m_ops : Metrics.counter;
   m_forces : Metrics.counter;
@@ -125,40 +110,24 @@ let device t = t.device
 let trace t = Device.trace t.device
 let metrics t = Device.metrics t.device
 
-(* Compatibility view over the registry handles: a fresh snapshot record
-   per call, zeroed at boot like the old bespoke struct was. *)
-let counters t =
-  let v = Metrics.counter_value in
-  {
-    ops = v t.meters.m_ops;
-    forces = v t.meters.m_forces;
-    empty_forces = v t.meters.m_empty_forces;
-    leader_piggybacks = v t.meters.m_leader_piggybacks;
-    leader_home_writes = v t.meters.m_leader_home_writes;
-    vam_base_rewrites = v t.meters.m_vam_base_rewrites;
-    scrub_passes = v t.meters.m_scrub_passes;
-    scrub_fnt_repairs = v t.meters.m_scrub_fnt_repairs;
-    scrub_leader_repairs = v t.meters.m_scrub_leader_repairs;
-    home_write_bursts = v t.meters.m_home_write_bursts;
-    reclaim_stalls = v t.meters.m_reclaim_stalls;
-  }
-
 let counters_json t =
-  let c = counters t in
+  let m = t.meters in
   Cedar_obs.Jsonb.Obj
-    [
-      ("ops", Cedar_obs.Jsonb.Int c.ops);
-      ("forces", Cedar_obs.Jsonb.Int c.forces);
-      ("empty_forces", Cedar_obs.Jsonb.Int c.empty_forces);
-      ("leader_piggybacks", Cedar_obs.Jsonb.Int c.leader_piggybacks);
-      ("leader_home_writes", Cedar_obs.Jsonb.Int c.leader_home_writes);
-      ("vam_base_rewrites", Cedar_obs.Jsonb.Int c.vam_base_rewrites);
-      ("scrub_passes", Cedar_obs.Jsonb.Int c.scrub_passes);
-      ("scrub_fnt_repairs", Cedar_obs.Jsonb.Int c.scrub_fnt_repairs);
-      ("scrub_leader_repairs", Cedar_obs.Jsonb.Int c.scrub_leader_repairs);
-      ("home_write_bursts", Cedar_obs.Jsonb.Int c.home_write_bursts);
-      ("reclaim_stalls", Cedar_obs.Jsonb.Int c.reclaim_stalls);
-    ]
+    (List.map
+       (fun (k, c) -> (k, Cedar_obs.Jsonb.Int (Metrics.counter_value c)))
+       [
+         ("ops", m.m_ops);
+         ("forces", m.m_forces);
+         ("empty_forces", m.m_empty_forces);
+         ("leader_piggybacks", m.m_leader_piggybacks);
+         ("leader_home_writes", m.m_leader_home_writes);
+         ("vam_base_rewrites", m.m_vam_base_rewrites);
+         ("scrub_passes", m.m_scrub_passes);
+         ("scrub_fnt_repairs", m.m_scrub_fnt_repairs);
+         ("scrub_leader_repairs", m.m_scrub_leader_repairs);
+         ("home_write_bursts", m.m_home_write_bursts);
+         ("reclaim_stalls", m.m_reclaim_stalls);
+       ])
 let log_stats t = Log.stats t.log
 let fnt_home_writes t = Fnt_store.home_writes t.store
 let fnt_repairs t = Fnt_store.repairs t.store

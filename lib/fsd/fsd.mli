@@ -32,28 +32,6 @@ type boot_report = {
   total_us : int;
 }
 
-type counters = {
-  mutable ops : int;
-  mutable forces : int;
-  mutable empty_forces : int;
-  mutable leader_piggybacks : int;  (** leader reads combined with data *)
-  mutable leader_home_writes : int;  (** written by the logging code *)
-  mutable vam_base_rewrites : int;
-      (** VAM-logging extension: full base images written at third
-          entries to retire stale chunk records *)
-  mutable scrub_passes : int;  (** scrub-demon wakeups so far *)
-  mutable scrub_fnt_repairs : int;
-      (** FNT home copies rewritten from their twin by the scrubber *)
-  mutable scrub_leader_repairs : int;
-      (** leaders rewritten from the name table by the scrubber *)
-  mutable home_write_bursts : int;
-      (** background home-write passes that wrote at least one page or
-          leader ahead of the next third entry *)
-  mutable reclaim_stalls : int;
-      (** third reclamations refused with [Log_reclaim_stall] because a
-          modified page held no committed image *)
-}
-
 (** {1 Lifecycle} *)
 
 val format : Cedar_disk.Device.t -> Params.t -> unit
@@ -141,7 +119,8 @@ val run_due_demons : t -> unit
     pages/leaders whose survival horizon is the next third, traced as
     [Home_write_burst]), and the scrub demon — each scrub pass verifies
     a few FNT page pairs (both copies, by checksum) and a few leaders,
-    repairing lone bad copies in place (counted in {!counters}).
+    repairing lone bad copies in place (counted in
+    ["fsd.scrub_fnt_repairs"] and ["fsd.scrub_leader_repairs"]).
     [tick us] is [advance us] plus this; external schedulers call it
     through {!Demons.run_due} so demons fire identically whether or not
     a server owns the clock. *)
@@ -238,13 +217,14 @@ val shard : t -> int
 val device : t -> Cedar_disk.Device.t
 val free_sectors : t -> int
 
-val counters : t -> counters
-(** Compatibility snapshot of the registry-backed FSD counters
-    (registered under ["fsd.*"] in {!metrics}); a fresh record each
-    call, zeroed at every boot. *)
-
 val counters_json : t -> Cedar_obs.Jsonb.t
-(** Machine-readable counterpart of {!counters}. *)
+(** The FSD counters, registered under ["fsd.*"] in {!metrics} and
+    zeroed at every boot, as one object keyed without the prefix
+    ([ops], [forces], [empty_forces], [leader_piggybacks],
+    [leader_home_writes], [vam_base_rewrites], [scrub_passes],
+    [scrub_fnt_repairs], [scrub_leader_repairs], [home_write_bursts],
+    [reclaim_stalls], in that order). Read one count with
+    [Metrics.read (metrics t) "fsd.forces"]. *)
 
 val trace : t -> Cedar_obs.Trace.t
 (** The volume's event trace (shared with {!Cedar_disk.Device.trace});

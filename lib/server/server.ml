@@ -26,17 +26,19 @@
    dropped, and the drop is counted in the report rather than silently
    lost.
 
-   The single-volume server is the degenerate case and is byte-identical
-   to the historical one-FSD scheduler: with V = 1 every per-volume loop
-   below visits exactly one volume in the same order the old code did.
+   One path serves any volume count: a single-volume server is the same
+   code with V = 1, and the scheduler never asks how a device is timed.
+   An op's completion is decided in one place ([complete]) from what its
+   device reports: a device that serviced the op's requests at issue
+   names the instant it may be acknowledged, a device whose queue still
+   holds them sends the session to [Iowait].
 
-   Crash containment: with one volume a planted device crash
-   ([Device.Crash_during_write]) propagates to the harness as before —
-   the machine halted. With several volumes it quarantines just the
-   crashed volume: its parked sessions abort (their unacked mutations
-   are the §5.4 "may be lost" set), later ops routed to it abort their
-   sessions, and every other volume keeps serving — recovery is per
-   volume, which is the point of giving each volume its own log.
+   Crash containment is quarantine at every V: a planted device crash
+   ([Device.Crash_during_write]) halts just the crashed volume. Its
+   parked sessions abort (their unacked mutations are the §5.4 "may be
+   lost" set), later ops routed to it abort their sessions, and every
+   other volume keeps serving — recovery is per volume, which is the
+   point of giving each volume its own log.
 
    Determinism: sessions are stepped round-robin by index, volumes are
    visited in index order, the only clock is [Simclock], and the only
@@ -125,18 +127,7 @@ type vol = {
   v_id : int;
   v_fsd : Fsd.t;
   v_dev : Cedar_disk.Device.t;
-  (* Deferred-timing device (multi-volume): commands queue on the
-     device's own timeline, and the scheduler parks each session until
-     its command's completion instant — that is where inter-volume
-     parallelism comes from. False for the single-volume degenerate
-     case, whose devices stay synchronous (byte-identical history). *)
-  v_par : bool;
-  (* Request queue live on the device ([Params.disk_qdepth] ≥ 2): ops
-     with outstanding requests go to [Iowait] instead of parking on the
-     busy horizon, and forces/acks measure through [busy_until]'s drain
-     barrier. *)
-  v_queue : bool;
-  mutable v_dead : bool;  (* quarantined after a planted crash (V > 1) *)
+  mutable v_dead : bool;  (* quarantined after a planted crash *)
   mutable v_crash_sector : int;  (* valid when v_dead *)
   mutable v_last_durable : int;
   mutable v_forces : int;  (* server-initiated forces on this volume *)
@@ -223,7 +214,6 @@ type report = {
 }
 
 let now t = Simclock.now t.clock
-let single t = Array.length t.vols = 1
 
 let parked_on t vid =
   Array.fold_left
@@ -231,26 +221,27 @@ let parked_on t vid =
     0 t.sessions
 
 (* Which volume an operation belongs to. [Force] fans out to every
-   volume; its accounting (spans, error counts) is charged to volume 0,
-   which is the only volume when the distinction could matter for
-   compatibility. *)
+   volume; its accounting (spans, error counts) is charged to volume 0. *)
 let target_vid t (op : Concurrent.op) =
-  if single t then 0
-  else
-    match op with
-    | Create { name; _ } | Open name | Read name | Delete name -> Volume_set.route t.vset name
-    | Read_page { name; _ } -> Volume_set.route t.vset name
-    | List prefix -> Volume_set.route t.vset prefix
-    | Force -> 0
+  match op with
+  | Create { name; _ } | Open name | Read name | Delete name -> Volume_set.route t.vset name
+  | Read_page { name; _ } -> Volume_set.route t.vset name
+  | List prefix -> Volume_set.route t.vset prefix
+  | Force -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Crash quarantine. *)
 
-(* A planted crash on volume [v] of a multi-volume set halts that volume
-   only. Sessions parked on it will never be acked — their mutations are
-   exactly the unacknowledged set §5.4 allows to be lost — so they abort
-   now; sessions later routed to it abort at admission. The [Fsd.t] must
-   not be touched again until the harness reboots the device. *)
+let abort s reason =
+  s.aborted <- Some reason;
+  s.steps <- [];
+  s.state <- Done
+
+(* A planted crash on volume [v] halts that volume only. Sessions parked
+   on it will never be acked — their mutations are exactly the
+   unacknowledged set §5.4 allows to be lost — so they abort now;
+   sessions later routed to it abort at admission. The [Fsd.t] must not
+   be touched again until the harness reboots the device. *)
 let quarantine t v ~sector =
   v.v_dead <- true;
   v.v_crash_sector <- sector;
@@ -258,22 +249,15 @@ let quarantine t v ~sector =
   Array.iter
     (fun s ->
       match s.state with
-      | (Parked { vol; _ } | Iowait { vol; _ }) when vol = v.v_id ->
-        s.aborted <- Some reason;
-        s.steps <- [];
-        s.state <- Done
+      | (Parked { vol; _ } | Iowait { vol; _ }) when vol = v.v_id -> abort s reason
       | _ -> ())
     t.sessions
 
-(* Run [f] against volume [v]: with a single volume a planted crash is
-   the machine halting and propagates (the historical contract the
-   fault sweep drives); with several it quarantines just [v]. *)
+(* Run [f] against volume [v], quarantining [v] if a planted crash
+   fires. *)
 let guarded t v f =
-  if single t then f ()
-  else
-    try f ()
-    with Cedar_disk.Device.Crash_during_write { sector } ->
-      quarantine t v ~sector
+  try f ()
+  with Cedar_disk.Device.Crash_during_write { sector } -> quarantine t v ~sector
 
 (* ------------------------------------------------------------------ *)
 (* The batcher. *)
@@ -282,21 +266,38 @@ let force_vol t v =
   t.forces <- t.forces + 1;
   v.v_forces <- v.v_forces + 1;
   (match t.cfg.on_force with Some f -> f t.forces | None -> ());
-  let t0 = now t in
-  let par = v.v_par || v.v_queue in
-  let b0 = if par then Cedar_disk.Device.busy_until v.v_dev else t0 in
+  (* The force's duration is the device horizon's advance across it
+     ([busy_until] drains any queued requests first — a force is a
+     synchronization barrier); on a synchronous device that horizon is
+     the clock. *)
+  let b0 = Cedar_disk.Device.busy_until v.v_dev in
   guarded t v (fun () -> Fsd.force v.v_fsd);
-  v.v_last_force_us <-
-    (* Deferred/queued device: the force's writes queued on the device
-       timeline instead of advancing the clock, so its duration is the
-       horizon delta (busy_until drains any queued requests first — a
-       force is a synchronization barrier); synchronous: the clock
-       moved, as it always did. *)
-    (if par then Cedar_disk.Device.busy_until v.v_dev - b0 else now t - t0)
+  v.v_last_force_us <- Cedar_disk.Device.busy_until v.v_dev - b0
 
 (* An explicit client [Force]: flush every live volume, index order. *)
 let force_all t =
   Array.iter (fun v -> if not v.v_dead then force_vol t v) t.vols
+
+(* Acknowledge the op at the head of [s]'s lifecycle at [done_at]; a
+   session acked ahead of the clock waits (as a Thinking park) until the
+   clock catches up. *)
+let finish t v s ~done_at =
+  if Trace.enabled t.trace then
+    Trace.emit t.trace ~at:done_at
+      (Trace.Op_acked { client = s.client; opseq = s.opseq });
+  Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
+  s.arrival_us <- done_at;
+  s.state <- (if done_at > now t then Thinking { until = done_at } else Ready)
+
+(* The one place an op's completion is decided: ack now, at the instant
+   the device says the requests it issued from [first] on are done, or
+   wait in [Iowait] for a queue that has not serviced them yet. *)
+let complete t v s ~first =
+  match Cedar_disk.Device.issuer_done_at v.v_dev ~first with
+  | Some done_at -> finish t v s ~done_at
+  | None ->
+    s.state <-
+      Iowait { vol = v.v_id; first; last = Cedar_disk.Device.issued v.v_dev }
 
 (* Wake every parked session the last force on each volume covered. One
    durable advance on one volume = one batch; its size is the number of
@@ -315,16 +316,9 @@ let poll_wakes t =
               match s.state with
               | Parked { vol; token; since; op }
                 when vol = v.v_id && Fsd.token_durable v.v_fsd token ->
-                let at = now t in
-                (* Deferred device: the covering force's writes complete
-                   at the device's busy horizon, not "now" — the ack is
-                   stamped there and the session keeps waiting (as a
-                   Thinking park) until the clock catches up. *)
-                let done_at =
-                  if v.v_par || v.v_queue then
-                    max at (Cedar_disk.Device.busy_until v.v_dev)
-                  else at
-                in
+                (* The covering force's writes complete at the device's
+                   busy horizon, which may lie ahead of the clock. *)
+                let done_at = Cedar_disk.Device.busy_until v.v_dev in
                 let wait = done_at - since in
                 incr woken;
                 Stats.add v.v_commit_wait_us (float_of_int wait);
@@ -344,20 +338,14 @@ let poll_wakes t =
                 in
                 Metrics.add v.c_phase_append_us append;
                 Metrics.add v.c_phase_parked_us (wait - append);
-                if Trace.enabled t.trace then begin
+                if Trace.enabled t.trace then
                   Trace.emit t.trace ~at:done_at
                     (Trace.Session_wait { client = s.client; us = wait });
-                  Trace.emit t.trace ~at:done_at
-                    (Trace.Op_acked { client = s.client; opseq = s.opseq })
-                end;
-                Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
-                s.arrival_us <- done_at;
+                finish t v s ~done_at;
                 t.acked_rev <- (s.client, op) :: t.acked_rev;
                 (match t.cfg.on_ack with
                 | Some f -> f ~client:s.client ~op
-                | None -> ());
-                s.state <-
-                  (if done_at > at then Thinking { until = done_at } else Ready)
+                | None -> ())
               | _ -> ())
             t.sessions;
           if !woken > 0 then Stats.add v.v_batch_size (float_of_int !woken)
@@ -435,11 +423,10 @@ let admission_reject t v (s : session) (op : Concurrent.op) =
 
 (* Admission has already passed when this runs. [Fs_error] is a client
    error (bad name, missing file): count it and move on. A planted
-   device crash is the simulated machine halt when the server owns one
-   volume (propagate to the harness) and a per-volume quarantine when it
-   owns several. Anything else is a server-side bug; it must not wedge
-   the round-robin scheduler mid-span, so the session is terminated with
-   the exception recorded as a typed abort. *)
+   device crash quarantines the op's volume. Anything else is a
+   server-side bug; it must not wedge the round-robin scheduler
+   mid-span, so the session is terminated with the exception recorded
+   as a typed abort. *)
 let run_op t v s op =
   s.ops <- s.ops + 1;
   let t_start = now t in
@@ -453,9 +440,8 @@ let run_op t v s op =
         ~name:(Concurrent.op_name op)
     else 0
   in
-  (* With a request queue, the op's device commands become requests
-     [r0 + 1 .. issued] — the range the session's ack waits on. *)
-  let r0 = if v.v_queue then Cedar_disk.Device.issued v.v_dev else 0 in
+  (* The op's device commands become requests [first .. issued]. *)
+  let first = Cedar_disk.Device.issued v.v_dev + 1 in
   let token =
     Fun.protect
       ~finally:(fun () -> Trace.end_span t.trace ~at:(now t) span)
@@ -465,66 +451,25 @@ let run_op t v s op =
         | exception Cedar_fsbase.Fs_error.Fs_error _ ->
           s.errors <- s.errors + 1;
           Fsd.always_durable
-        | exception (Cedar_disk.Device.Crash_during_write { sector } as e) ->
-          if single t then raise e
-          else begin
-            quarantine t v ~sector;
-            s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
-            s.steps <- [];
-            s.state <- Done;
-            Fsd.always_durable
-          end
+        | exception Cedar_disk.Device.Crash_during_write { sector } ->
+          quarantine t v ~sector;
+          abort s (Printf.sprintf "volume %d crashed" v.v_id);
+          Fsd.always_durable
         | exception e ->
-          s.aborted <-
-            Some
-              (Printf.sprintf "%s: %s" (Concurrent.op_name op)
-                 (Printexc.to_string e));
-          s.steps <- [];
-          s.state <- Done;
+          abort s
+            (Printf.sprintf "%s: %s" (Concurrent.op_name op)
+               (Printexc.to_string e));
           Fsd.always_durable)
   in
   let t_end = now t in
   s.t_exec_end <- t_end;
   Metrics.add v.c_phase_execute_us (t_end - t_start);
-  (* Deferred device: the op's I/O queued on the device timeline without
-     advancing the clock, so its result is only available at the busy
-     horizon — the session parks (Thinking) until then, which is what
-     lets other volumes' sessions run in the meantime. Synchronous
-     devices complete before returning: done_at = t_end, no park. With
-     a request queue, completion is per request, resolved lazily: the
-     session goes to Iowait instead and [resolve_iowait] stamps its ack
-     when the queue services its requests. *)
-  let done_at =
-    if v.v_par && not v.v_queue then
-      max t_end (Cedar_disk.Device.busy_until v.v_dev)
-    else t_end
-  in
-  let park_to_completion () =
-    if done_at > t_end then s.state <- Thinking { until = done_at }
-  in
-  let ack_now () =
-    if Trace.enabled t.trace then
-      Trace.emit t.trace ~at:done_at
-        (Trace.Op_acked { client = s.client; opseq = s.opseq });
-    Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
-    s.arrival_us <- done_at
-  in
-  (* Ack at execute end, or wait on the op's outstanding requests. *)
-  let ack_or_iowait () =
-    let last = if v.v_queue then Cedar_disk.Device.issued v.v_dev else 0 in
-    if v.v_queue && last > r0 then
-      s.state <- Iowait { vol = v.v_id; first = r0 + 1; last }
-    else begin
-      ack_now ();
-      park_to_completion ()
-    end
-  in
   if s.state = Done then ()
   else if token = Fsd.always_durable then
     (* Reads, lists, explicit forces and client errors: the lifecycle
-       ends at execute completion — or at the service completion of the
-       op's queued requests — with no commit-wait park window. *)
-    ack_or_iowait ()
+       ends when the op's I/O completes, with no commit-wait park
+       window. *)
+    complete t v s ~first
   else if Fsd.token_durable v.v_fsd token then
     (* A mid-op force (the bulk-trigger backstop) already covered the
        mutation: acknowledge with zero commit wait, no commit park. *)
@@ -535,7 +480,7 @@ let run_op t v s op =
       Stats.add v.v_commit_wait_us 0.;
       t.acked_rev <- (s.client, op) :: t.acked_rev;
       (match t.cfg.on_ack with Some f -> f ~client:s.client ~op | None -> ());
-      ack_or_iowait ()
+      complete t v s ~first
     end
   else s.state <- Parked { vol = v.v_id; token; since = t_end; op }
 
@@ -572,9 +517,7 @@ let step t s =
         (* The owning volume crashed out from under this session: there
            is no one to serve the op, or any later op routed the same
            way. Typed abort, like any other server-side termination. *)
-        s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
-        s.steps <- [];
-        s.state <- Done
+        abort s (Printf.sprintf "volume %d crashed" v.v_id)
       end
       else begin
         if s.retries = 0 then begin
@@ -706,16 +649,8 @@ let resolve_iowait t =
       | Iowait { vol; first; last } ->
         any := true;
         let v = t.vols.(vol) in
-        let done_at =
-          Cedar_disk.Device.requests_done_at v.v_dev ~first ~last
-        in
-        if Trace.enabled t.trace then
-          Trace.emit t.trace ~at:done_at
-            (Trace.Op_acked { client = s.client; opseq = s.opseq });
-        Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
-        s.arrival_us <- done_at;
-        s.state <-
-          (if done_at > now t then Thinking { until = done_at } else Ready)
+        finish t v s
+          ~done_at:(Cedar_disk.Device.requests_done_at v.v_dev ~first ~last)
       | _ -> ())
     t.sessions;
   !any
@@ -765,8 +700,6 @@ let create_volumes ?(config = default_config) vset scripts =
           v_id = i;
           v_fsd = fsd;
           v_dev = dev;
-          v_par = Cedar_disk.Device.deferred dev;
-          v_queue = Cedar_disk.Device.queued dev;
           v_dead = false;
           v_crash_sector = -1;
           v_last_durable = Fsd.durable_seq fsd;
@@ -812,9 +745,12 @@ let create_volumes ?(config = default_config) vset scripts =
 let create ?config fsd scripts =
   create_volumes ?config (Volume_set.of_fsd fsd) scripts
 
+let log_forces_now v =
+  Option.get (Metrics.read (Fsd.metrics v.v_fsd) "fsd.forces")
+
 let run t =
   let t0 = now t in
-  Array.iter (fun v -> v.v_forces0 <- (Fsd.counters v.v_fsd).Fsd.forces) t.vols;
+  Array.iter (fun v -> v.v_forces0 <- log_forces_now v) t.vols;
   let rec loop () =
     if not (all_done t) then begin
       (match next_runnable t with
@@ -830,29 +766,24 @@ let run t =
   loop ();
   (* Background demon writes may still sit in a request queue; service
      them so the device stats the caller reads cover the whole run. *)
-  Array.iter
-    (fun v ->
-      if v.v_queue then ignore (Cedar_disk.Device.busy_until v.v_dev : int))
-    t.vols;
+  Array.iter (fun v -> ignore (Cedar_disk.Device.busy_until v.v_dev : int)) t.vols;
   let duration_us = now t - t0 in
-  let vol_log_forces v = (Fsd.counters v.v_fsd).Fsd.forces - v.v_forces0 in
+  let vol_log_forces v = log_forces_now v - v.v_forces0 in
   let log_forces = Array.fold_left (fun n v -> n + vol_log_forces v) 0 t.vols in
   let total f = Array.fold_left (fun n s -> n + f s) 0 t.sessions in
   let vtotal f = Array.fold_left (fun n v -> n + f v) 0 t.vols in
   let mutations_acked = total (fun s -> s.mutations) in
-  (* Merged wait/batch statistics across volumes (for one volume this is
-     that volume's own series, so the report is unchanged). *)
+  (* Merged wait/batch statistics across volumes. Every sample is an
+     integer count of microseconds or sessions, so float sums are exact
+     and the merge order cannot change a mean. *)
   let merged per_vol =
-    if Array.length t.vols = 1 then per_vol t.vols.(0)
-    else begin
-      let d = Stats.create () in
-      Array.iter
-        (fun v ->
-          let src = per_vol v in
-          List.iter (Stats.add d) (Stats.recent src (Stats.n src)))
-        t.vols;
-      d
-    end
+    let d = Stats.create () in
+    Array.iter
+      (fun v ->
+        let src = per_vol v in
+        List.iter (Stats.add d) (Stats.recent src (Stats.n src)))
+      t.vols;
+    d
   in
   let wait = merged (fun v -> v.v_commit_wait_us) in
   let batch = merged (fun v -> v.v_batch_size) in
@@ -924,15 +855,13 @@ let crashed_volumes t =
 type outcome = Completed of report | Crashed of { sector : int }
 
 let run_to_crash t =
-  match run t with
-  | r -> Completed r
-  | exception Cedar_disk.Device.Crash_during_write { sector } ->
-    Crashed { sector }
+  let r = run t in
+  match Array.find_opt (fun v -> v.v_dead) t.vols with
+  | Some v -> Crashed { sector = v.v_crash_sector }
+  | None -> Completed r
 
 (* Deterministic rendering: field order is fixed here, sessions are in
-   client order, so byte-identical reports mean identical runs. The
-   "volumes" array appears only for a multi-volume server — the
-   single-volume JSON is byte-for-byte the historical shape. *)
+   client order, so byte-identical reports mean identical runs. *)
 let report_json r =
   let session s =
     Jsonb.Obj
@@ -992,8 +921,5 @@ let report_json r =
              ("max", Jsonb.Float r.batch_max);
            ] );
        ("sessions", Jsonb.Arr (List.map session r.per_session));
-     ]
-    @
-    if List.length r.per_volume > 1 then
-      [ ("volumes", Jsonb.Arr (List.map volume r.per_volume)) ]
-    else [])
+       ("volumes", Jsonb.Arr (List.map volume r.per_volume));
+     ])

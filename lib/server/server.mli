@@ -24,9 +24,12 @@
     next commit opportunity, up to [admission_retries] times; only then
     is it dropped, and the drop is counted in the report.
 
-    The single-volume server ({!create}, over
-    {!Cedar_volumes.Volume_set.of_fsd}) is the degenerate case and is
-    byte-identical to the historical one-FSD scheduler.
+    One code path serves any volume count: the single-volume server
+    ({!create}, over {!Cedar_volumes.Volume_set.of_fsd}) is the same
+    scheduler with V = 1. The scheduler never asks how a device is
+    timed; it acks an op at the instant the device reports
+    ({!Cedar_disk.Device.issuer_done_at}) or, while a request queue
+    still holds the op's requests, waits for their service.
 
     Determinism contract: given the same volume images, scripts and
     configuration, two runs produce byte-identical {!report_json} output
@@ -88,7 +91,7 @@ type volume_report = {
   vr_server_forces : int;  (** forces the scheduler initiated on it *)
   vr_log_forces : int;  (** all its log forces, including backstops *)
   vr_acked : int;  (** mutations acknowledged durable by this volume *)
-  vr_crashed : bool;  (** quarantined by a planted crash (multi-volume) *)
+  vr_crashed : bool;  (** quarantined by a planted crash *)
 }
 (** Per-volume slice of a run — one entry per volume, index order. *)
 
@@ -122,8 +125,8 @@ type report = {
 val create :
   ?config:config -> Cedar_fsd.Fsd.t -> Cedar_workload.Concurrent.script array -> t
 (** Single-volume server: [create_volumes] over
-    {!Cedar_volumes.Volume_set.of_fsd} — the degenerate, historically
-    byte-identical case. Session [i] runs [scripts.(i)] as client [i].
+    {!Cedar_volumes.Volume_set.of_fsd}. Session [i] runs [scripts.(i)]
+    as client [i].
     Registers the [server.queue_depth] gauge, the
     [server.commit_wait_us] / [server.batch_size] distributions, and
     the admission counters [server.rejects.queue_full],
@@ -147,13 +150,13 @@ val create_volumes :
 
 val run : t -> report
 (** Drive every session to completion and drain the final batches. A
-    device crash planted by [on_force] on a single-volume server
-    propagates as [Cedar_disk.Device.Crash_during_write] — by then
-    every acknowledged transaction is on disk and no unacknowledged one
-    is. On a multi-volume server the same crash quarantines only that
-    volume: its parked sessions abort, sessions later routed to it
-    abort, every other volume keeps serving to completion, and the
-    report marks the volume [vr_crashed]. *)
+    planted device crash ([Cedar_disk.Device.Crash_during_write])
+    quarantines only the crashed volume: its parked sessions abort,
+    sessions later routed to it abort, every other volume keeps serving
+    to completion, and the report marks the volume [vr_crashed]. By
+    then every transaction that volume acknowledged is on disk and no
+    unacknowledged one is, and the volume takes no further write. With
+    one volume every session aborts at its next operation. *)
 
 val serve :
   ?config:config ->
@@ -178,21 +181,19 @@ val acked : t -> (int * Cedar_workload.Concurrent.op) list
 
 val crashed_volumes : t -> int list
 (** Volumes quarantined by a planted crash so far, ascending — empty
-    for a healthy run, and always empty on a single-volume server
-    (where the crash propagates instead). *)
+    for a healthy run. *)
 
 type outcome =
   | Completed of report
   | Crashed of { sector : int }  (** the planted device fault fired *)
 
 val run_to_crash : t -> outcome
-(** {!run}, but a [Cedar_disk.Device.Crash_during_write] is caught and
-    returned as [Crashed] — the restartable entry point for the crash
-    sweep. The server object must be discarded after a crash; inspect
-    {!acked} and reboot the volume. *)
+(** {!run}, reporting [Crashed] with the fault sector of the first
+    quarantined volume if a planted crash fired — the entry point for
+    the crash sweep. The server object must be discarded after a crash;
+    inspect {!acked} and reboot the volume. *)
 
 val report_json : report -> Cedar_obs.Jsonb.t
 (** Deterministic rendering (fixed field order, sessions in client
-    order) — byte-identical across same-seed runs. The ["volumes"]
-    array appears only for a multi-volume report, so the single-volume
-    JSON keeps its historical byte-exact shape. *)
+    order, then the ["volumes"] array with one row per volume at any
+    volume count) — byte-identical across same-seed runs. *)

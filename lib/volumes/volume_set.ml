@@ -66,10 +66,10 @@ let create_fresh ?(geom = Geometry.trident_t300) ?params ?trace ?metrics ~clock
           Device.create ~id:i ~trace
             ~metrics:(scoped_view ~count metrics i) ~clock geom
         in
-        (* Several volumes = several spindles: deferred timing lets their
-           commands overlap in simulated time instead of serialising on
-           the shared clock (the single-volume case keeps the historical
-           synchronous mode, byte-identical). *)
+        (* The only place the volume count picks timing: several
+           spindles overlap in simulated time only if the issuer does
+           not wait on each one (deferred); a single spindle has nothing
+           to overlap with, so its issuer waits (synchronous). *)
         if count > 1 then Device.set_deferred d true;
         d)
   in

@@ -269,31 +269,61 @@ let test_sstf_starvation_bound () =
   check bool "far request is not serviced last" true
     (Device.request_done_at d 1 < Device.request_done_at d 41)
 
-(* The determinism pin for the scheduler seam: a device with a FIFO
-   queue of depth 1 is byte-identical to one with no queue at all —
-   same clock, same stats, same completion horizon. *)
+(* The timing pins for the one request path, as a table over ways of
+   driving the same 200 seeded commands. A FIFO queue of depth 1 is
+   byte-identical to no queue at all — same clock, same stats, same
+   completion horizon. A deferred device times every command exactly
+   as the synchronous one does but leaves the shared clock alone: its
+   horizon ends where the synchronous clock did. And a device switched
+   back to synchronous after deferred work starts its next command at
+   the clock, not at the stale horizon (the path a power cut takes
+   before a synchronous reboot). *)
 let test_fifo_depth1_identical_to_sync () =
-  let run with_queue =
-    let clock, d = mk () in
-    if with_queue then Device.set_queue d ~policy:Device.Fifo ~depth:1;
+  let commands d =
     let g = Device.geometry d in
     let rng = Rng.create 99 in
     for _ = 1 to 200 do
       let s = Rng.int rng (Geometry.total_sectors g) in
       if Rng.bool rng then ignore (Device.read d s)
       else Device.write d s (Bytes.make g.Geometry.sector_bytes 'q')
-    done;
-    (Simclock.now clock, Device.busy_until d, Iostats.copy (Device.stats d))
+    done
   in
-  let now_q, busy_q, st_q = run true in
-  let now_s, busy_s, st_s = run false in
-  check int "clock identical" now_s now_q;
-  check int "busy_until identical" busy_s busy_q;
-  let d = Iostats.diff ~after:st_q ~before:st_s in
-  check bool "iostats identical" true
-    (d.Iostats.ios = 0 && d.Iostats.busy_us = 0 && d.Iostats.seek_us = 0
+  let run setup =
+    let clock, d = mk () in
+    setup d;
+    commands d;
+    (clock, d, Simclock.now clock, Device.busy_until d, Iostats.copy (Device.stats d))
+  in
+  let _, _, now_s, busy_s, st_s = run (fun _ -> ()) in
+  check int "synchronous: busy_until is the clock" now_s busy_s;
+  let same_stats st =
+    let d = Iostats.diff ~after:st ~before:st_s in
+    d.Iostats.ios = 0 && d.Iostats.busy_us = 0 && d.Iostats.seek_us = 0
     && d.Iostats.rotation_us = 0 && d.Iostats.transfer_us = 0
-    && d.Iostats.seeks = 0)
+    && d.Iostats.seeks = 0
+  in
+  List.iter
+    (fun (label, setup, want_now) ->
+      let _, _, now, busy, st = run setup in
+      check int (label ^ ": clock") want_now now;
+      check int (label ^ ": busy_until") busy_s busy;
+      check bool (label ^ ": iostats identical") true (same_stats st))
+    [
+      ("fifo depth 1", (fun d -> Device.set_queue d ~policy:Device.Fifo ~depth:1), now_s);
+      ("deferred", (fun d -> Device.set_deferred d true), 0);
+    ];
+  (* Deferred work leaves the horizon at [busy_s], far ahead of the
+     untouched clock; back in synchronous mode the next command starts
+     at the clock, so it ends one command's duration later. *)
+  let clock, d, _, _, st = run (fun d -> Device.set_deferred d true) in
+  Device.set_deferred d false;
+  ignore (Device.read d 0);
+  let took = (Device.stats d).Iostats.busy_us - st.Iostats.busy_us in
+  check int "resync: the command started at the clock" took (Simclock.now clock);
+  check bool "resync: the stale horizon was not waited for" true
+    (Simclock.now clock < busy_s);
+  check int "resync: busy_until is the clock" (Simclock.now clock)
+    (Device.busy_until d)
 
 (* A full queue blocks the host: the depth cap forces a service to free
    a slot, so occupancy never exceeds the configured depth. *)

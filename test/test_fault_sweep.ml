@@ -8,6 +8,10 @@ open Cedar_util
 open Cedar_disk
 open Cedar_fsd
 
+(* One "fsd.*" counter from the volume's metrics registry. *)
+let fsd_count fs name =
+  Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -268,9 +272,9 @@ let test_metadata_silent_corruption_sweep () =
       for _ = 1 to 12 do
         Fsd.tick fs2 ~us:(interval + 1)
       done;
-      let c = Fsd.counters fs2 in
       let repaired =
-        Fsd.fnt_repairs fs2 + c.Fsd.scrub_fnt_repairs + c.Fsd.scrub_leader_repairs
+        Fsd.fnt_repairs fs2 + fsd_count fs2 "scrub_fnt_repairs"
+        + fsd_count fs2 "scrub_leader_repairs"
       in
       if repaired < 1 then
         Alcotest.failf "sector %d: corruption never detected/repaired" s;

@@ -6,6 +6,10 @@ open Cedar_util
 open Cedar_disk
 open Cedar_fsbase
 
+(* One "fsd.*" counter from the volume's metrics registry. *)
+let fsd_count fs name =
+  Option.get (Cedar_obs.Metrics.read (Cedar_fsd.Fsd.metrics fs) ("fsd." ^ name))
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -252,7 +256,7 @@ let test_fsd_soak () =
   (* the commit demon can fire inside any operation; promote the model's
      pending set whenever the force counter moves *)
   let sync_forces () =
-    let f = (Cedar_fsd.Fsd.counters !fs).Cedar_fsd.Fsd.forces in
+    let f = fsd_count !fs "forces" in
     if f > !last_forces then begin
       commit_pending ();
       last_forces := f
@@ -307,7 +311,7 @@ let test_fsd_soak () =
        (* free space and resynchronise the model with the file system *)
        Cedar_fsd.Fsd.force !fs;
        commit_pending ();
-       last_forces := (Cedar_fsd.Fsd.counters !fs).Cedar_fsd.Fsd.forces;
+       last_forces := fsd_count !fs "forces";
        List.iter
          (fun i ->
            let n = Printf.sprintf "soak/%02d" i in
@@ -317,7 +321,7 @@ let test_fsd_soak () =
            end)
          (List.init 40 Fun.id);
        Cedar_fsd.Fsd.force !fs;
-       last_forces := (Cedar_fsd.Fsd.counters !fs).Cedar_fsd.Fsd.forces)
+       last_forces := fsd_count !fs "forces")
   done;
   Cedar_fsd.Fsd.force !fs;
   commit_pending ();

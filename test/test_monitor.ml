@@ -12,6 +12,10 @@ module Params = Cedar_fsd.Params
 module C = Cedar_workload.Concurrent
 module S = Cedar_server.Server
 
+(* One "fsd.*" counter from the volume's metrics registry. *)
+let fsd_count fs name =
+  Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -264,9 +268,9 @@ let test_monitor_toggle () =
   check bool "demon path polls the monitor" true (Monitor.total m > 0);
   Fsd.disable_monitor fs;
   check bool "disabled detaches" true (Fsd.monitor fs = None);
-  let before = (Fsd.counters fs).Fsd.ops in
+  let before = fsd_count fs "ops" in
   ignore (Fsd.create fs ~name:"m/after" (Bytes.make 100 'y'));
-  check int "ops still run after detach" (before + 1) (Fsd.counters fs).Fsd.ops
+  check int "ops still run after detach" (before + 1) (fsd_count fs "ops")
 
 (* ------------------------------------------------------------------ *)
 (* The open-loop generator                                             *)

@@ -11,6 +11,10 @@ open Cedar_disk
 open Cedar_fsbase
 open Cedar_fsd
 
+(* One "fsd.*" counter from the volume's metrics registry. *)
+let fsd_count fs name =
+  Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
+
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
@@ -258,8 +262,8 @@ let test_scrub_repairs_fnt_copy_before_read () =
    with Exit -> ());
   check bool "corrupted a live sector" true !corrupted;
   run_scrub_to_completion fs;
-  let c = Fsd.counters fs in
-  check bool "scrubber repaired the bad copy" true (c.Fsd.scrub_fnt_repairs >= 1);
+  check bool "scrubber repaired the bad copy" true
+    (fsd_count fs "scrub_fnt_repairs" >= 1);
   (* The client now reads from clean twins: no read-path repair fires. *)
   Fsd.drop_caches fs;
   let repairs_before_reads = Fsd.fnt_repairs fs in
@@ -285,8 +289,8 @@ let test_scrub_rewrites_corrupt_leader () =
   check bool "found the leader sector" true (anchor >= 0);
   Device.corrupt device anchor ~rng:(Rng.create 7);
   run_scrub_to_completion fs;
-  let c = Fsd.counters fs in
-  check bool "scrubber rewrote the leader" true (c.Fsd.scrub_leader_repairs >= 1);
+  check bool "scrubber rewrote the leader" true
+    (fsd_count fs "scrub_leader_repairs" >= 1);
   (* check re-reads every leader from disk and cross-checks the table. *)
   check bool "leader/table mutual check ok" true (Fsd.check fs = Ok ());
   check bool "data untouched" true
@@ -320,11 +324,13 @@ let test_scrub_repair_emits_metric_and_trace () =
   Cedar_obs.Trace.enable tr;
   run_scrub_to_completion fs;
   Cedar_obs.Trace.disable tr;
-  let c = Fsd.counters fs in
-  check bool "counter incremented" true (c.Fsd.scrub_fnt_repairs >= 1);
-  check (Alcotest.option int) "registry view agrees"
-    (Some c.Fsd.scrub_fnt_repairs)
-    (Cedar_obs.Metrics.read (Device.metrics device) "fsd.scrub_fnt_repairs");
+  let repairs = fsd_count fs "scrub_fnt_repairs" in
+  check bool "counter incremented" true (repairs >= 1);
+  check bool "counters_json agrees with the registry" true
+    (match Fsd.counters_json fs with
+    | Cedar_obs.Jsonb.Obj kv ->
+      List.assoc "scrub_fnt_repairs" kv = Cedar_obs.Jsonb.Int repairs
+    | _ -> false);
   let repair_events =
     List.filter
       (fun e ->
@@ -333,7 +339,7 @@ let test_scrub_repair_emits_metric_and_trace () =
         | _ -> false)
       (Cedar_obs.Trace.to_list tr)
   in
-  check int "one trace event per repair" c.Fsd.scrub_fnt_repairs
+  check int "one trace event per repair" repairs
     (List.length repair_events);
   Fsd.shutdown fs
 
@@ -341,13 +347,13 @@ let test_scrub_counts_passes () =
   let _device, fs = fresh () in
   ignore (Fsd.create fs ~name:"tickfile" (content 100 1));
   Fsd.force fs;
-  let before = (Fsd.counters fs).Fsd.scrub_passes in
+  let before = fsd_count fs "scrub_passes" in
   Fsd.tick fs ~us:(scrub_interval + 1);
   Fsd.tick fs ~us:(scrub_interval + 1);
-  check int "two passes" (before + 2) (Fsd.counters fs).Fsd.scrub_passes;
+  check int "two passes" (before + 2) (fsd_count fs "scrub_passes");
   check bool "clean volume needs no repairs" true
-    ((Fsd.counters fs).Fsd.scrub_fnt_repairs = 0
-    && (Fsd.counters fs).Fsd.scrub_leader_repairs = 0);
+    (fsd_count fs "scrub_fnt_repairs" = 0
+    && fsd_count fs "scrub_leader_repairs" = 0);
   Fsd.shutdown fs
 
 let suite =

@@ -10,6 +10,10 @@ module C = Cedar_workload.Concurrent
 module S = Cedar_server.Server
 module Obs = Cedar_obs
 
+(* One "fsd.*" counter from the volume's metrics registry. *)
+let fsd_count fs name =
+  Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -208,14 +212,28 @@ let test_crash_atomicity () =
   let fs, _ = Fsd.boot device in
   let acked = ref [] in
   let crash_force = 3 in
+  (* Sectors written since the fault was armed: it fires on the first
+     write after arming, so any write that finds this non-zero reached
+     the device after the crash. *)
+  let since_arm = ref None and stray_writes = ref 0 in
+  Device.set_observer device
+    (Some
+       (fun ~rw ~sector:_ ~count ->
+         match (rw, !since_arm) with
+         | `W, Some seen ->
+           if seen > 0 then incr stray_writes;
+           since_arm := Some (seen + count)
+         | _ -> ()));
   let config =
     {
       S.default_config with
       S.on_force =
         Some
           (fun n ->
-            if n = crash_force then
-              Device.plan_write_crash device ~after_sectors:0 ~damage_tail:0);
+            if n = crash_force then begin
+              since_arm := Some 0;
+              Device.plan_write_crash device ~after_sectors:0 ~damage_tail:0
+            end);
       on_ack =
         Some (fun ~client:_ ~op -> acked := C.op_name op :: !acked);
     }
@@ -224,9 +242,14 @@ let test_crash_atomicity () =
     Array.init 2 (fun client ->
         create_script ~client ~creates:8 ~bytes:900 ~think:180_000)
   in
-  (match S.serve ~config fs scripts with
-  | (_ : S.report) -> Alcotest.fail "expected the armed crash during force 3"
-  | exception Device.Crash_during_write _ -> ());
+  let server = S.create ~config fs scripts in
+  let r = S.run server in
+  check (Alcotest.list int) "the crash quarantined the volume" [ 0 ]
+    (S.crashed_volumes server);
+  check bool "the report marks the volume crashed" true
+    (List.hd r.S.per_volume).S.vr_crashed;
+  check int "no sector write after the fault fired" 0 !stray_writes;
+  Device.set_observer device None;
   Device.cancel_write_crash device;
   check bool "some transactions were acked before the crash" true
     (List.length !acked > 0);
@@ -257,7 +280,7 @@ let test_demons_split_equivalence () =
     let _, fs = fresh_fs () in
     ignore (Fsd.create fs ~name:"d/one" (Bytes.create 700));
     advance fs 700_000;
-    ((Fsd.counters fs).forces, Fsd.durable_seq fs, Fsd.mutation_seq fs)
+    (fsd_count fs "forces", Fsd.durable_seq fs, Fsd.mutation_seq fs)
   in
   let via_tick = drive (fun fs us -> Fsd.tick fs ~us) in
   let via_demons =

@@ -167,10 +167,25 @@ let test_recovery_independence () =
   in
   (* Arm a torn write partway into volume 1's log. Volume 0 never sees
      it. *)
-  Device.plan_write_crash (V.device vset 1) ~after_sectors:80 ~damage_tail:1;
+  let after_sectors = 80 in
+  Device.plan_write_crash (V.device vset 1) ~after_sectors ~damage_tail:1;
+  (* The fault fires in the command that carries the written-sector
+     count past [after_sectors]; a write that finds it already past
+     reached the quarantined device after the crash. *)
+  let written = ref 0 and stray_writes = ref 0 in
+  Device.set_observer (V.device vset 1)
+    (Some
+       (fun ~rw ~sector:_ ~count ->
+         if rw = `W then begin
+           if !written > after_sectors then incr stray_writes;
+           written := !written + count
+         end));
   let t = S.create_volumes vset scripts in
   let r = S.run t in
   check (Alcotest.list int) "only volume 1 crashed" [ 1 ] (S.crashed_volumes t);
+  check bool "the fault fired" true (!written > after_sectors);
+  check int "no sector write after the fault fired" 0 !stray_writes;
+  Device.set_observer (V.device vset 1) None;
   let vr0 = List.nth r.S.per_volume 0 and vr1 = List.nth r.S.per_volume 1 in
   check bool "volume 0 alive" false vr0.S.vr_crashed;
   check bool "volume 1 quarantined" true vr1.S.vr_crashed;
