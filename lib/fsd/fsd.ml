@@ -863,7 +863,7 @@ let delete t ~name =
   require_live t;
   let _, version, e = newest_exn t name in
   delete_version_unchecked t name version;
-  (* freeing cost scales with the run table and the shadow-bitmap work *)
+  (* freeing cost scales with the run table and the pending-release work *)
   op_done t ~pages:(Run_table.pages e.Entry.runs / 2) ()
 
 let delete_version t ~name ~version =
@@ -1541,6 +1541,13 @@ let check t =
             | exception Fs_error.Fs_error _ ->
               bad := (k ^ ": leader sector damaged") :: !bad
           end);
+    let vam = Alloc.vam t.alloc in
+    let recounted = Vam.recount_free vam in
+    if recounted <> Vam.free_count vam then
+      bad :=
+        Printf.sprintf "vam: free count %d but %d bits free" (Vam.free_count vam)
+          recounted
+        :: !bad;
     match !bad with
     | [] -> Ok ()
     | problems -> Error (String.concat "; " problems))

@@ -2,9 +2,12 @@
 
     Kept entirely in volatile memory during normal operation — FSD does no
     disk writes to track free pages. A set bit means "free". Pages of
-    deleted-but-uncommitted files sit in the {e shadow} bitmap and only
-    become allocatable when the deletion commits; this keeps a crashed
-    uncommitted delete from having handed the pages to a new file.
+    deleted-but-uncommitted files sit in a list of pending freed runs (the
+    paper's shadow map) and only become allocatable when the deletion
+    commits; this keeps a crashed uncommitted delete from having handed
+    the pages to a new file. Committing costs O(pending runs) and both
+    counts are maintained, so nothing done per force or per sample walks
+    the whole volume.
 
     The map is saved to its disk area on controlled shutdown, loaded on a
     clean boot, and reconstructed from the name table otherwise. *)
@@ -29,6 +32,11 @@ val create_none_free : Layout.t -> t
 val layout : t -> Layout.t
 val is_free : t -> int -> bool
 val free_count : t -> int
+(** Free sectors; O(1), maintained by every mutation. *)
+
+val recount_free : t -> int
+(** Free sectors counted bit by bit over the whole map: O(volume), for
+    checks that {!free_count} is right. *)
 
 val allocate_run : t -> pos:int -> len:int -> unit
 (** Marks the run allocated. Raises [Invalid_argument] if any sector is
@@ -38,10 +46,16 @@ val release_run : t -> pos:int -> len:int -> unit
 (** Immediate release (used by reconstruction and by aborted creates). *)
 
 val shadow_release_run : t -> pos:int -> len:int -> unit
-(** Deferred release: free only at the next {!commit_shadow}. *)
+(** Deferred release: free only at the next {!commit_shadow}. Raises
+    [Invalid_argument], as {!release_run} does, on a metadata sector or a
+    sector already free, and also on a sector already pending. *)
 
 val commit_shadow : t -> unit
+(** Frees every pending run and marks the chunks they cover dirty;
+    O(pending runs). *)
+
 val shadow_count : t -> int
+(** Sectors pending release; O(1). *)
 
 val find_free_run : t -> from:int -> upto:int -> len:int -> int option
 val find_free_run_down : t -> from:int -> downto_:int -> len:int -> int option

@@ -41,6 +41,13 @@ let count t =
   (* Bits past [t.bits] in the final byte are never set. *)
   !total
 
+let count_run t ~pos ~len =
+  let n = ref 0 in
+  for i = pos to pos + len - 1 do
+    if get t i then incr n
+  done;
+  !n
+
 let set_run t ~pos ~len =
   for i = pos to pos + len - 1 do
     set t i
@@ -84,23 +91,10 @@ let find_run_set_down t ~from ~downto_ ~len =
   in
   if from - len + 1 < downto_ then None else go (from - len + 1)
 
-let iter_set t f =
-  for i = 0 to t.bits - 1 do
-    if get t i then f i
-  done
-
-let union_into ~dst ~src =
-  if dst.bits <> src.bits then invalid_arg "Bitmap.union_into";
-  for b = 0 to Bytes.length dst.data - 1 do
-    Bytes.set dst.data b
-      (Char.chr
-         (Char.code (Bytes.get dst.data b) lor Char.code (Bytes.get src.data b)))
-  done
-
-let clear_all t = Bytes.fill t.data 0 (Bytes.length t.data) '\000'
 let copy t = { bits = t.bits; data = Bytes.copy t.data }
 let equal a b = a.bits = b.bits && Bytes.equal a.data b.data
 let to_bytes t = Bytes.copy t.data
+let blit_bytes t ~off dst ~dst_off ~len = Bytes.blit t.data off dst dst_off len
 
 let overwrite_bytes t ~off src =
   if off < 0 || off + Bytes.length src > Bytes.length t.data then

@@ -1,8 +1,8 @@
 (** Fixed-size mutable bit vectors.
 
-    Used for the volume allocation map (VAM), the shadow bitmap of
-    not-yet-committed deletions, and the cylinder-group bitmaps of the BSD
-    baseline. Bit [i] set means "page [i] is free" for the VAM. *)
+    Used for the volume allocation map (VAM) and the cylinder-group
+    bitmaps of the BSD baseline. Bit [i] set means "page [i] is free" for
+    the VAM. *)
 
 type t
 
@@ -18,6 +18,9 @@ val assign : t -> int -> bool -> unit
 
 val count : t -> int
 (** Number of set bits. *)
+
+val count_run : t -> pos:int -> len:int -> int
+(** Number of set bits among [pos .. pos+len-1]. *)
 
 val set_run : t -> pos:int -> len:int -> unit
 val clear_run : t -> pos:int -> len:int -> unit
@@ -36,19 +39,17 @@ val find_run_set_down : t -> from:int -> downto_:int -> len:int -> int option
 (** Like {!find_run_set} but searching from high addresses downward:
     the highest [pos] with [downto_ <= pos] and [pos + len <= from + 1]. *)
 
-val iter_set : t -> (int -> unit) -> unit
-
-val union_into : dst:t -> src:t -> unit
-(** [union_into ~dst ~src] sets in [dst] every bit set in [src]. Both
-    bitmaps must have the same length. *)
-
-val clear_all : t -> unit
-
 val copy : t -> t
 val equal : t -> t -> bool
 
 val to_bytes : t -> bytes
 (** Packed little-endian-bit representation, 8 bits per byte. *)
+
+val blit_bytes : t -> off:int -> bytes -> dst_off:int -> len:int -> unit
+(** [blit_bytes t ~off dst ~dst_off ~len] copies bytes [off .. off+len-1]
+    of the packed representation into [dst] at [dst_off], without
+    copying the rest; raises [Invalid_argument] on an out-of-range
+    span. *)
 
 val overwrite_bytes : t -> off:int -> bytes -> unit
 (** Patch a byte range of the packed representation in place (used to

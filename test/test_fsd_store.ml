@@ -114,6 +114,55 @@ let test_vam_shadow_commit () =
   check int "free after commit" (free1 + 8) (Vam.free_count v);
   check int "shadow drained" 0 (Vam.shadow_count v)
 
+let rejects what f =
+  match f () with
+  | () -> Alcotest.fail (what ^ " must be rejected")
+  | exception Invalid_argument _ -> ()
+
+let test_vam_shadow_rejects () =
+  let l = layout () in
+  let v = Vam.create_all_free l in
+  let lo = l.Layout.small_lo in
+  rejects "metadata sector" (fun () ->
+      Vam.shadow_release_run v ~pos:l.Layout.vam_start ~len:1);
+  rejects "free sector" (fun () -> Vam.shadow_release_run v ~pos:lo ~len:1);
+  Vam.allocate_run v ~pos:lo ~len:8;
+  rejects "run reaching a free sector" (fun () ->
+      Vam.shadow_release_run v ~pos:(lo + 4) ~len:8);
+  Vam.shadow_release_run v ~pos:lo ~len:4;
+  rejects "same run twice" (fun () -> Vam.shadow_release_run v ~pos:lo ~len:4);
+  rejects "overlapping pending run" (fun () ->
+      Vam.shadow_release_run v ~pos:(lo + 2) ~len:4);
+  check int "rejects leave nothing pending" 4 (Vam.shadow_count v);
+  Vam.shadow_release_run v ~pos:(lo + 4) ~len:4;
+  Vam.commit_shadow v;
+  check int "all eight freed" (Layout.data_sectors l) (Vam.free_count v);
+  rejects "committed run again" (fun () -> Vam.shadow_release_run v ~pos:lo ~len:1)
+
+(* Guard against O(volume) work per force or per sample: on a full-size
+   T-300 map, 1000 rounds of what a force and a monitor sample do with
+   the VAM must take well under a second (walking the 588,430-bit map on
+   each commit would take seconds). *)
+let test_vam_per_force_cost_not_volume () =
+  let l = Layout.compute Geometry.trident_t300 Params.default in
+  let v = Vam.create_all_free l in
+  let s = l.Layout.small_lo in
+  let t0 = Sys.time () in
+  for _ = 1 to 1000 do
+    Vam.commit_shadow v;
+    Vam.allocate_run v ~pos:s ~len:1;
+    Vam.shadow_release_run v ~pos:s ~len:1;
+    Vam.commit_shadow v;
+    List.iter
+      (fun c -> ignore (Vam.chunk_image v c : bytes))
+      (Vam.drain_dirty_chunks v);
+    ignore (Vam.free_count v + Vam.shadow_count v : int)
+  done;
+  let elapsed = Sys.time () -. t0 in
+  check int "state restored" (Layout.data_sectors l) (Vam.free_count v);
+  if elapsed >= 0.5 then
+    Alcotest.failf "1000 VAM force rounds took %.3f s of CPU (limit 0.5 s)" elapsed
+
 let test_vam_save_load_roundtrip () =
   let device = mk_device () in
   let l = layout () in
@@ -377,6 +426,9 @@ let suite =
     ("layout: data-sector predicate", `Quick, test_layout_data_sector_predicate);
     ("vam: alloc/release", `Quick, test_vam_alloc_release);
     ("vam: shadow commit", `Quick, test_vam_shadow_commit);
+    ("vam: shadow release rejects", `Quick, test_vam_shadow_rejects);
+    ("vam: per-force cost is not O(volume)", `Quick,
+     test_vam_per_force_cost_not_volume);
     ("vam: save/load roundtrip", `Quick, test_vam_save_load_roundtrip);
     ("vam: damaged save rejected", `Quick, test_vam_load_rejects_damage);
     ("alloc: small files low", `Quick, test_alloc_small_in_small_area);

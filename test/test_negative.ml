@@ -44,7 +44,7 @@ let test_bitmap_bounds () =
   inv (fun () -> Bitmap.set b (-1));
   inv (fun () -> Bitmap.find_run_set b ~from:0 ~upto:10 ~len:0);
   inv (fun () -> Bitmap.of_bytes ~bits:100 (Bytes.create 2));
-  inv (fun () -> Bitmap.union_into ~dst:b ~src:(Bitmap.create 11));
+  inv (fun () -> Bitmap.blit_bytes b ~off:1 (Bytes.create 8) ~dst_off:0 ~len:2);
   inv (fun () -> Bitmap.overwrite_bytes b ~off:1 (Bytes.create 2))
 
 let test_lru_misuse () =

@@ -329,6 +329,157 @@ let prop_bitmap_find_run_down_correct =
       Bitmap.find_run_set_down b ~from:99 ~downto_:0 ~len = reference)
 
 (* ------------------------------------------------------------------ *)
+(* Vam: the pending freed-run list against the shadow-bitmap model it
+   replaced. The model keeps deferred frees as a second bitmap, ORs it
+   into the free map at commit and marks the chunk of every bit it held. *)
+
+module Vam = Cedar_fsd.Vam
+module Layout = Cedar_fsd.Layout
+
+type vam_op = Allocate | Release | Shadow_release | Commit
+
+type vam_model = {
+  m_free : bool array;
+  m_shadow : bool array;
+  m_dirty : (int, unit) Hashtbl.t;
+}
+
+let vam_geom = Geometry.small_test
+let vam_chunk_bits = 8 * vam_geom.Geometry.sector_bytes
+
+let vam_op_gen =
+  let open QCheck.Gen in
+  (* Half the runs start near a chunk boundary, so some straddle two. *)
+  let near_boundary =
+    map2 (fun k d -> (k * vam_chunk_bits) + d - 8) (int_range 1 2) (int_bound 16)
+  in
+  triple
+    (frequency
+       [
+         (3, return Allocate);
+         (2, return Release);
+         (3, return Shadow_release);
+         (1, return Commit);
+       ])
+    (oneof [ int_bound (Geometry.total_sectors vam_geom - 1); near_boundary ])
+    (int_range 1 12)
+
+let vam_op_print (op, start, len) =
+  Printf.sprintf "%s@%d+%d"
+    (match op with
+    | Allocate -> "allocate"
+    | Release -> "release"
+    | Shadow_release -> "shadow_release"
+    | Commit -> "commit")
+    start len
+
+let model_count a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
+
+let model_image m c =
+  let cb = vam_geom.Geometry.sector_bytes in
+  let out = Bytes.make cb '\000' in
+  for i = 0 to vam_chunk_bits - 1 do
+    let s = (c * vam_chunk_bits) + i in
+    if s < Array.length m.m_free && m.m_free.(s) then
+      Bytes.set out (i lsr 3)
+        (Char.chr (Char.code (Bytes.get out (i lsr 3)) lor (1 lsl (i land 7))))
+  done;
+  out
+
+let model_mark m ~pos ~len =
+  for s = pos to pos + len - 1 do
+    Hashtbl.replace m.m_dirty (s / vam_chunk_bits) ()
+  done
+
+(* The first run of [len] at or after [from] (wrapping once) whose every
+   sector satisfies [ok]. *)
+let find_model_run total ok ~from ~len =
+  let fits p =
+    let rec go s = s >= p + len || (ok s && go (s + 1)) in
+    p + len <= total && go p
+  in
+  let rec scan i =
+    if i >= total then None
+    else
+      let p = (from + i) mod total in
+      if fits p then Some p else scan (i + 1)
+  in
+  scan 0
+
+let prop_vam_pending_runs_match_shadow_bitmap =
+  QCheck.Test.make ~name:"vam: pending freed runs match the shadow-bitmap model"
+    ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list vam_op_print)
+       QCheck.Gen.(list_size (int_range 1 50) vam_op_gen))
+    (fun ops ->
+      let l = Layout.compute vam_geom (Cedar_fsd.Params.for_geometry vam_geom) in
+      let v = Vam.create_all_free l in
+      let total = Geometry.total_sectors vam_geom in
+      let data = Layout.is_data_sector l in
+      let m =
+        {
+          m_free = Array.init total data;
+          m_shadow = Array.make total false;
+          m_dirty = Hashtbl.create 8;
+        }
+      in
+      let step (op, start, len) =
+        let run ok = find_model_run total ok ~from:start ~len in
+        match op with
+        | Allocate -> (
+          match run (fun s -> data s && m.m_free.(s)) with
+          | None -> ()
+          | Some pos ->
+            Vam.allocate_run v ~pos ~len;
+            Array.fill m.m_free pos len false;
+            model_mark m ~pos ~len)
+        | Release -> (
+          match run (fun s -> data s && not m.m_free.(s)) with
+          | None -> ()
+          | Some pos ->
+            Vam.release_run v ~pos ~len;
+            Array.fill m.m_free pos len true;
+            model_mark m ~pos ~len)
+        | Shadow_release -> (
+          match run (fun s -> data s && (not m.m_free.(s)) && not m.m_shadow.(s)) with
+          | None -> ()
+          | Some pos ->
+            Vam.shadow_release_run v ~pos ~len;
+            Array.fill m.m_shadow pos len true)
+        | Commit ->
+          Vam.commit_shadow v;
+          Array.iteri
+            (fun s pending ->
+              if pending then begin
+                model_mark m ~pos:s ~len:1;
+                m.m_free.(s) <- true;
+                m.m_shadow.(s) <- false
+              end)
+            m.m_shadow
+      in
+      let agree () =
+        let chunks = List.init (Vam.chunk_count v) Fun.id in
+        let model_drained =
+          List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) m.m_dirty [])
+        in
+        Hashtbl.reset m.m_dirty;
+        List.for_all
+          (fun c -> Bytes.equal (Vam.chunk_image v c) (model_image m c))
+          chunks
+        && Vam.free_count v = model_count m.m_free
+        && Vam.shadow_count v = model_count m.m_shadow
+        && Vam.drain_dirty_chunks v = model_drained
+      in
+      Vam.chunk_count v > 1
+      && agree ()
+      && List.for_all
+           (fun op ->
+             step op;
+             agree ())
+           ops)
+
+(* ------------------------------------------------------------------ *)
 (* Geometry: chs mapping is a bijection for random geometries. *)
 
 let prop_geometry_chs_bijection =
@@ -369,5 +520,6 @@ let suite =
       prop_log_random_batches_with_damage;
       prop_bitmap_find_run_correct;
       prop_bitmap_find_run_down_correct;
+      prop_vam_pending_runs_match_shadow_bitmap;
       prop_geometry_chs_bijection;
     ]

@@ -84,6 +84,7 @@ let test_bitmap_runs () =
   let b = Bitmap.create 64 in
   Bitmap.set_run b ~pos:10 ~len:20;
   check bool "run set" true (Bitmap.all_set_in_run b ~pos:10 ~len:20);
+  check int "count_run straddles" 5 (Bitmap.count_run b ~pos:5 ~len:10);
   check bool "beyond run" false (Bitmap.all_set_in_run b ~pos:10 ~len:21);
   check (Alcotest.option int) "find up" (Some 10)
     (Bitmap.find_run_set b ~from:0 ~upto:64 ~len:5);
@@ -102,16 +103,13 @@ let test_bitmap_bytes_roundtrip () =
   Bitmap.set b 36;
   Bitmap.set b 17;
   let b' = Bitmap.of_bytes ~bits:37 (Bitmap.to_bytes b) in
-  check bool "equal" true (Bitmap.equal b b')
-
-let test_bitmap_union () =
-  let a = Bitmap.create 16 and b = Bitmap.create 16 in
-  Bitmap.set a 1;
-  Bitmap.set b 2;
-  Bitmap.union_into ~dst:a ~src:b;
-  check bool "1" true (Bitmap.get a 1);
-  check bool "2" true (Bitmap.get a 2);
-  check int "count" 2 (Bitmap.count a)
+  check bool "equal" true (Bitmap.equal b b');
+  let window = Bytes.make 4 'x' in
+  Bitmap.blit_bytes b ~off:2 window ~dst_off:1 ~len:2;
+  check Alcotest.string "blit copies only the span"
+    (Bytes.sub_string (Bitmap.to_bytes b) 2 2)
+    (Bytes.sub_string window 1 2);
+  check Alcotest.char "left untouched" 'x' (Bytes.get window 0)
 
 let prop_bitmap_vs_reference =
   QCheck.Test.make ~name:"bitmap matches reference set semantics" ~count:200
@@ -237,7 +235,6 @@ let suite =
     ("bitmap basic", `Quick, test_bitmap_basic);
     ("bitmap runs", `Quick, test_bitmap_runs);
     ("bitmap bytes roundtrip", `Quick, test_bitmap_bytes_roundtrip);
-    ("bitmap union", `Quick, test_bitmap_union);
     QCheck_alcotest.to_alcotest prop_bitmap_vs_reference;
     ("lru eviction order", `Quick, test_lru_eviction_order);
     ("lru pinned never evicted", `Quick, test_lru_pinned_never_evicted);
