@@ -4,10 +4,12 @@ module type STORE = sig
   type t
 
   val page_bytes : t -> int
-  val read : t -> int -> bytes
-  val write : t -> int -> bytes -> unit
+  val read : t -> int -> string
+  val write : t -> int -> string -> unit
   val alloc : t -> int
   val free : t -> int -> unit
+  val ensure_free : t -> int -> unit
+  val on_drop : t -> (int -> unit) -> unit
   val get_root : t -> int option
   val set_root : t -> int option -> unit
 end
@@ -21,9 +23,17 @@ module Make (S : STORE) = struct
     | Leaf of (string * string) array
     | Internal of { keys : string array; children : int array }
 
-  type t = { store : S.t; page_bytes : int }
+  (* A decoded node together with the page string it was decoded from. *)
+  type memo_entry = { page : string; node : node }
 
-  let attach store = { store; page_bytes = S.page_bytes store }
+  type t = { store : S.t; page_bytes : int; memo : (int, memo_entry) Hashtbl.t }
+
+  let attach store =
+    let memo = Hashtbl.create 64 in
+    S.on_drop store (Hashtbl.remove memo);
+    { store; page_bytes = S.page_bytes store; memo }
+
+  let cached_nodes t = Hashtbl.length t.memo
 
   (* ---------------------------------------------------------------- *)
   (* Node codec                                                        *)
@@ -60,10 +70,12 @@ module Make (S : STORE) = struct
       Bytebuf.Writer.u16 w (Array.length keys);
       Array.iter (Bytebuf.Writer.string w) keys;
       Array.iter (Bytebuf.Writer.u32 w) children);
-    Bytebuf.Writer.to_sector w ~size:t.page_bytes
+    (* The buffer is fresh and never touched again, so it can become the
+       page's immutable string without a copy. *)
+    Bytes.unsafe_to_string (Bytebuf.Writer.to_sector w ~size:t.page_bytes)
 
-  let decode b =
-    let r = Bytebuf.Reader.of_bytes b in
+  let decode page =
+    let r = Bytebuf.Reader.of_bytes (Bytes.unsafe_of_string page) in
     match Bytebuf.Reader.u8 r with
     | k when k = leaf_kind ->
       let n = Bytebuf.Reader.u16 r in
@@ -79,13 +91,25 @@ module Make (S : STORE) = struct
       Internal { keys; children }
     | k -> raise (Corrupt (Printf.sprintf "unknown node kind %d" k))
 
+  (* Every read goes to the store, so its cache sees the same touches and
+     misses as without the memo; the memoised node is reused only when
+     the store hands back the very string it was decoded from. *)
   let read_node t id =
-    match decode (S.read t.store id) with
-    | node -> node
-    | exception Bytebuf.Decode_error msg ->
-      raise (Corrupt (Printf.sprintf "page %d: %s" id msg))
+    let page = S.read t.store id in
+    match Hashtbl.find t.memo id with
+    | e when e.page == page -> e.node
+    | _ | (exception Not_found) -> (
+      match decode page with
+      | node ->
+        Hashtbl.replace t.memo id { page; node };
+        node
+      | exception Bytebuf.Decode_error msg ->
+        raise (Corrupt (Printf.sprintf "page %d: %s" id msg)))
 
-  let write_node t id node = S.write t.store id (encode t node)
+  let write_node t id node =
+    let page = encode t node in
+    S.write t.store id page;
+    Hashtbl.replace t.memo id { page; node }
 
   (* ---------------------------------------------------------------- *)
   (* Search helpers                                                    *)
@@ -140,68 +164,97 @@ module Make (S : STORE) = struct
     let at = max 1 (cut 0 0) in
     (Array.sub entries 0 at, Array.sub entries at (n - at))
 
+  (* A node with one more entry: the node itself while it still fits its
+     page, else its two halves and the separator between them. *)
+  type grown = Fits of node | Split of node * node * string
+
+  let grow_leaf t entries key value =
+    let entries =
+      match leaf_position entries key with
+      | `Found i ->
+        let a = Array.copy entries in
+        a.(i) <- (key, value);
+        a
+      | `Insert_at i -> array_insert entries i (key, value)
+    in
+    let node = Leaf entries in
+    if encoded_bytes node <= t.page_bytes then Fits node
+    else
+      let left, right = split_leaf entries in
+      Split (Leaf left, Leaf right, fst right.(0))
+
+  (* Child [i] split into itself and [rid], with [sep] between them. *)
+  let grow_internal t keys children i sep rid =
+    let keys = array_insert keys i sep in
+    let children = array_insert children (i + 1) rid in
+    let node = Internal { keys; children } in
+    if encoded_bytes node <= t.page_bytes then Fits node
+    else begin
+      (* Promote the middle key; it is kept in neither half. *)
+      let mid = Array.length keys / 2 in
+      let left =
+        Internal { keys = Array.sub keys 0 mid; children = Array.sub children 0 (mid + 1) }
+      in
+      let nright = Array.length keys - mid - 1 in
+      let right =
+        Internal
+          {
+            keys = Array.sub keys (mid + 1) nright;
+            children = Array.sub children (mid + 1) (nright + 1);
+          }
+      in
+      Split (left, right, keys.(mid))
+    end
+
   let rec insert_rec t id key value =
     match read_node t id with
-    | Leaf entries ->
-      let entries =
-        match leaf_position entries key with
-        | `Found i ->
-          let a = Array.copy entries in
-          a.(i) <- (key, value);
-          a
-        | `Insert_at i -> array_insert entries i (key, value)
-      in
-      let node = Leaf entries in
-      if encoded_bytes node <= t.page_bytes then begin
-        write_node t id node;
-        `Ok
-      end
-      else begin
-        let left, right = split_leaf entries in
-        let rid = S.alloc t.store in
-        write_node t id (Leaf left);
-        write_node t rid (Leaf right);
-        `Split (fst right.(0), rid)
-      end
+    | Leaf entries -> place t id (grow_leaf t entries key value)
     | Internal { keys; children } -> (
       let i = child_index keys key in
       match insert_rec t children.(i) key value with
       | `Ok -> `Ok
-      | `Split (sep, rid) ->
-        let keys = array_insert keys i sep in
-        let children = array_insert children (i + 1) rid in
-        let node = Internal { keys; children } in
-        if encoded_bytes node <= t.page_bytes then begin
-          write_node t id node;
-          `Ok
-        end
-        else begin
-          (* Promote the middle key; it is kept in neither half. *)
-          let mid = Array.length keys / 2 in
-          let sep_up = keys.(mid) in
-          let left =
-            Internal
-              { keys = Array.sub keys 0 mid; children = Array.sub children 0 (mid + 1) }
-          in
-          let nright = Array.length keys - mid - 1 in
-          let right =
-            Internal
-              {
-                keys = Array.sub keys (mid + 1) nright;
-                children = Array.sub children (mid + 1) (nright + 1);
-              }
-          in
-          let rid2 = S.alloc t.store in
-          write_node t id left;
-          write_node t rid2 right;
-          `Split (sep_up, rid2)
-        end)
+      | `Split (sep, rid) -> place t id (grow_internal t keys children i sep rid))
+
+  and place t id = function
+    | Fits node ->
+      write_node t id node;
+      `Ok
+    | Split (left, right, sep) ->
+      let rid = S.alloc t.store in
+      write_node t id left;
+      write_node t rid right;
+      `Split (sep, rid)
+
+  (* The pages an insert will allocate: one per node that splits on the
+     way up, plus a new root if the root splits. Reads, never writes. A
+     split child's page id only adds a fixed four bytes to its parent,
+     so any id stands in for the one [S.alloc] would return. *)
+  let pages_needed t key value =
+    let up = function Fits _ -> (0, None) | Split (_, _, sep) -> (1, Some sep) in
+    let rec go id =
+      match read_node t id with
+      | Leaf entries -> up (grow_leaf t entries key value)
+      | Internal { keys; children } -> (
+        let i = child_index keys key in
+        match go children.(i) with
+        | n, None -> (n, None)
+        | n, Some sep ->
+          let m, sep' = up (grow_internal t keys children i sep 0) in
+          (n + m, sep'))
+    in
+    match S.get_root t.store with
+    | None -> 1
+    | Some root -> (
+      match go root with n, None -> n | n, Some _ -> n + 1)
 
   let insert t ~key ~value =
     if leaf_entry_bytes key value > max_entry_bytes t then
       invalid_arg
         (Printf.sprintf "Btree.insert: entry of %d bytes exceeds max %d"
            (leaf_entry_bytes key value) (max_entry_bytes t));
+    (* Refuse before the first write: a split whose parent cannot get a
+       page would orphan the half already written, with its keys. *)
+    S.ensure_free t.store (pages_needed t key value);
     match S.get_root t.store with
     | None ->
       let id = S.alloc t.store in
@@ -384,12 +437,9 @@ module Make (S : STORE) = struct
   let find_last_below t key =
     let rec go id =
       match read_node t id with
-      | Leaf entries ->
-        let best = ref None in
-        Array.iter
-          (fun (k, v) -> if String.compare k key < 0 then best := Some (k, v))
-          entries;
-        !best
+      | Leaf entries -> (
+        match leaf_position entries key with
+        | `Found i | `Insert_at i -> if i = 0 then None else Some entries.(i - 1))
       | Internal { keys; children } ->
         let i = child_index keys key in
         let rec try_from j =
@@ -426,6 +476,14 @@ module Make (S : STORE) = struct
     in
     (match S.get_root t.store with None -> () | Some r -> go 1 r);
     { depth = !depth; pages = !pages; entries = !entries; used_bytes = !used }
+
+  let page_ids t =
+    let rec go acc id =
+      match read_node t id with
+      | Leaf _ -> id :: acc
+      | Internal { children; _ } -> Array.fold_left go (id :: acc) children
+    in
+    match S.get_root t.store with None -> [] | Some r -> go [] r
 
   let check t =
     let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -27,9 +27,10 @@ module Direct_store = struct
   type t = {
     device : Device.t;
     layout : Cfs_layout.t;
-    cache : (int, bytes) Lru.t; (* payloads; everything here is clean *)
+    cache : (int, string) Lru.t; (* payloads; everything here is clean *)
     anchor : anchor;
     mutable page_writes : int;
+    mutable on_drop : (int -> unit) list;
   }
 
   let trailer = 16
@@ -49,13 +50,13 @@ module Direct_store = struct
 
   let frame layout ~page payload =
     let full = full_bytes layout in
-    if Bytes.length payload <> full - trailer then invalid_arg "Direct_store.frame";
+    if String.length payload <> full - trailer then invalid_arg "Direct_store.frame";
     let out = Bytes.make full '\000' in
-    Bytes.blit payload 0 out 0 (Bytes.length payload);
+    Bytes.blit_string payload 0 out 0 (String.length payload);
     let w = Bytebuf.Writer.create ~initial:trailer () in
     Bytebuf.Writer.u32 w page_magic;
     Bytebuf.Writer.u32 w page;
-    Bytebuf.Writer.u32 w (Crc32.bytes payload);
+    Bytebuf.Writer.u32 w (Crc32.string payload);
     Bytebuf.Writer.u32 w 0;
     Bytes.blit (Bytebuf.Writer.contents w) 0 out (full - trailer) trailer;
     out
@@ -64,7 +65,7 @@ module Direct_store = struct
     let full = full_bytes layout in
     if Bytes.length image <> full then None
     else begin
-      let payload = Bytes.sub image 0 (full - trailer) in
+      let payload = Bytes.sub_string image 0 (full - trailer) in
       let r = Bytebuf.Reader.of_bytes ~pos:(full - trailer) image in
       match
         let m = Bytebuf.Reader.u32 r in
@@ -74,13 +75,19 @@ module Direct_store = struct
       with
       | exception Bytebuf.Decode_error _ -> None
       | m, id, crc ->
-        if m = page_magic && id = page && crc = Crc32.bytes payload then Some payload
+        if m = page_magic && id = page && crc = Crc32.string payload then Some payload
         else None
     end
 
+  let on_drop t f = t.on_drop <- f :: t.on_drop
+  let dropped t page = List.iter (fun f -> f page) t.on_drop
+
+  let cache_page t page payload =
+    List.iter (fun (p, _) -> dropped t p) (Lru.add t.cache page payload)
+
   let read t page =
     match Lru.find t.cache page with
-    | Some payload -> Bytes.copy payload
+    | Some payload -> payload
     | None -> (
       let sector = Cfs_layout.fnt_sector t.layout ~page in
       let image =
@@ -91,7 +98,7 @@ module Direct_store = struct
       in
       match unframe t.layout ~page image with
       | Some payload ->
-        ignore (Lru.add t.cache page (Bytes.copy payload) : (int * bytes) list);
+        cache_page t page payload;
         payload
       | None ->
         raise
@@ -105,7 +112,7 @@ module Direct_store = struct
       ~expect:(fnt_labels t.layout ~page)
       (frame t.layout ~page payload);
     t.page_writes <- t.page_writes + 1;
-    ignore (Lru.add t.cache page (Bytes.copy payload) : (int * bytes) list)
+    cache_page t page payload
 
   let encode_anchor t =
     let w = Bytebuf.Writer.create () in
@@ -121,10 +128,10 @@ module Direct_store = struct
       invalid_arg "Cfs: anchor exceeds one page; reduce fnt_pages";
     let out = Bytes.make (page_bytes t) '\000' in
     Bytes.blit b 0 out 0 (Bytes.length b);
-    out
+    Bytes.unsafe_to_string out
 
   let decode_anchor payload =
-    let r = Bytebuf.Reader.of_bytes payload in
+    let r = Bytebuf.Reader.of_bytes (Bytes.unsafe_of_string payload) in
     match
       let m = Bytebuf.Reader.u32 r in
       if m <> anchor_magic then None
@@ -144,7 +151,7 @@ module Direct_store = struct
   let alloc t =
     let map = t.anchor.alloc_map in
     let rec go i =
-      if i >= Bitmap.length map then corrupt "CFS name table out of pages"
+      if i >= Bitmap.length map then Fs_error.raise_ Fs_error.Name_table_full
       else if not (Bitmap.get map i) then i
       else go (i + 1)
     in
@@ -158,7 +165,13 @@ module Direct_store = struct
       invalid_arg "Direct_store.free";
     Bitmap.clear t.anchor.alloc_map page;
     Lru.remove t.cache page;
+    dropped t page;
     write_anchor t
+
+  let ensure_free t n =
+    let map = t.anchor.alloc_map in
+    if n > Bitmap.length map - Bitmap.count map then
+      Fs_error.raise_ Fs_error.Name_table_full
 
   let get_root t = t.anchor.root
 
@@ -173,6 +186,7 @@ module Direct_store = struct
       cache = Lru.create ~capacity:layout.Cfs_layout.params.Cfs_layout.cache_pages;
       anchor;
       page_writes = 0;
+      on_drop = [];
     }
 
   let create_fresh device layout =

@@ -8,6 +8,7 @@ type t =
   | Bad_page of { name : string; page : int }
   | Not_booted
   | Log_reclaim_stall of { third : int; pinned_pages : int }
+  | Name_table_full
 
 exception Fs_error of t
 
@@ -27,5 +28,6 @@ let pp ppf = function
     Format.fprintf ppf
       "cannot reclaim log third %d: %d modified page(s) hold no committed image"
       third pinned_pages
+  | Name_table_full -> Format.fprintf ppf "name table out of pages"
 
 let to_string t = Format.asprintf "%a" pp t

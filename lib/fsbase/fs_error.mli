@@ -15,6 +15,9 @@ type t =
       (** a log third is due for reclamation but a dirty page pinned in
           the cache holds no committed image that could be written home;
           reclaiming would destroy the only durable copy (§4.4) *)
+  | Name_table_full
+      (** every name-table page is in use; the insert that needed more
+          was refused before it changed anything *)
 
 exception Fs_error of t
 

@@ -3,12 +3,12 @@ open Cedar_disk
 open Cedar_fsbase
 
 type cached = {
-  mutable payload : bytes;
+  mutable payload : string; (* immutable: readers share it, writes replace it *)
   mutable dirty : bool;
   mutable modified : bool; (* changed since last logged *)
   mutable third : int option; (* where the image was last logged *)
   mutable dirtied_at : int; (* virtual time the page last became dirty *)
-  mutable logged : bytes option;
+  mutable logged : string option;
       (* The committed image as last logged, retained from the moment the
          payload diverges from it. When the third holding that log copy
          is reclaimed, this — never the uncommitted payload — is what
@@ -26,8 +26,11 @@ type t = {
   device : Device.t;
   layout : Layout.t;
   cache : (int, cached) Lru.t;
+  dirty : (int, cached) Hashtbl.t; (* exactly the cached pages with [dirty] set *)
   anchor : anchor;
+  mutable free_pages : int; (* clear bits of [anchor.alloc_map] past page 0 *)
   mutable note_dirty : int -> unit;
+  mutable on_drop : (int -> unit) list;
   mutable home_writes : int;
   mutable repairs : int;
   dirty_age : Stats.t; (* dirty-to-home-write latency per page flush *)
@@ -47,14 +50,14 @@ let page_bytes t = full_page_bytes t.layout - trailer_bytes
 
 let frame layout ~page payload =
   let full = full_page_bytes layout in
-  if Bytes.length payload <> full - trailer_bytes then
+  if String.length payload <> full - trailer_bytes then
     invalid_arg "Fnt_store.frame: payload size";
   let out = Bytes.make full '\000' in
-  Bytes.blit payload 0 out 0 (Bytes.length payload);
+  Bytes.blit_string payload 0 out 0 (String.length payload);
   let w = Bytebuf.Writer.create ~initial:trailer_bytes () in
   Bytebuf.Writer.u32 w page_magic;
   Bytebuf.Writer.u32 w page;
-  Bytebuf.Writer.u32 w (Crc32.bytes payload);
+  Bytebuf.Writer.u32 w (Crc32.string payload);
   Bytebuf.Writer.u32 w 0;
   Bytes.blit (Bytebuf.Writer.contents w) 0 out (full - trailer_bytes) trailer_bytes;
   out
@@ -63,7 +66,7 @@ let unframe layout ~page image =
   let full = full_page_bytes layout in
   if Bytes.length image <> full then None
   else begin
-    let payload = Bytes.sub image 0 (full - trailer_bytes) in
+    let payload = Bytes.sub_string image 0 (full - trailer_bytes) in
     let r = Bytebuf.Reader.of_bytes ~pos:(full - trailer_bytes) image in
     match
       let m = Bytebuf.Reader.u32 r in
@@ -73,7 +76,7 @@ let unframe layout ~page image =
     with
     | exception Bytebuf.Decode_error _ -> None
     | m, id, crc ->
-      if m = page_magic && id = page && crc = Crc32.bytes payload then Some payload
+      if m = page_magic && id = page && crc = Crc32.string payload then Some payload
       else None
   end
 
@@ -96,10 +99,10 @@ let encode_anchor t =
     invalid_arg "Fnt_store: anchor exceeds one page; reduce fnt_pages";
   let out = Bytes.make (page_bytes t) '\000' in
   Bytes.blit b 0 out 0 (Bytes.length b);
-  out
+  Bytes.unsafe_to_string out
 
 let decode_anchor payload =
-  let r = Bytebuf.Reader.of_bytes payload in
+  let r = Bytebuf.Reader.of_bytes (Bytes.unsafe_of_string payload) in
   match
     let m = Bytebuf.Reader.u32 r in
     if m <> anchor_magic then None
@@ -148,7 +151,7 @@ let read_home t page =
   let a = read_copy sa and b = read_copy sb in
   match (a, b) with
   | Some pa, Some pb ->
-    if not (Bytes.equal pa pb) then begin
+    if not (String.equal pa pb) then begin
       note_twin_repair t page;
       Device.write_run t.device ~sector:sb (frame t.layout ~page pa)
     end;
@@ -198,7 +201,7 @@ let scrub_page t page =
   in
   match (read_copy sa, read_copy sb) with
   | Some pa, Some pb ->
-    if Bytes.equal pa pb then `Ok
+    if String.equal pa pb then `Ok
     else begin
       repair sb pa;
       `Repaired
@@ -220,8 +223,14 @@ let mk device layout anchor =
       device;
       layout;
       cache = Lru.create ~capacity:layout.Layout.params.Params.cache_pages;
+      dirty = Hashtbl.create 64;
       anchor;
+      free_pages =
+        (let map = anchor.alloc_map in
+         let len = Bitmap.length map - 1 in
+         len - Bitmap.count_run map ~pos:1 ~len);
       note_dirty = (fun _ -> ());
+      on_drop = [];
       home_writes = 0;
       repairs = 0;
       dirty_age = Stats.create ();
@@ -251,18 +260,25 @@ let attach device layout =
     Fs_error.raise_ (Fs_error.Corrupt_metadata "name-table anchor does not decode")
 
 let set_note_dirty t f = t.note_dirty <- f
+let on_drop t f = t.on_drop <- f :: t.on_drop
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 
+let dropped t page = List.iter (fun f -> f page) t.on_drop
+let evicted t victims = List.iter (fun (page, _) -> dropped t page) victims
+
 let insert_cache t page c =
   (* Evictions are always clean (dirty pages are pinned). *)
-  ignore (Lru.add t.cache page c : (int * cached) list);
-  if c.dirty then Lru.pin t.cache page
+  evicted t (Lru.add t.cache page c);
+  if c.dirty then begin
+    Hashtbl.replace t.dirty page c;
+    Lru.pin t.cache page
+  end
 
 let read t page =
   match Lru.find t.cache page with
-  | Some c -> Bytes.copy c.payload
+  | Some c -> c.payload
   | None ->
     let payload = read_home t page in
     insert_cache t page
@@ -274,10 +290,10 @@ let read t page =
         dirtied_at = 0;
         logged = None;
       };
-    Bytes.copy payload
+    payload
 
 let write t page payload =
-  if Bytes.length payload <> page_bytes t then invalid_arg "Fnt_store.write: size";
+  if String.length payload <> page_bytes t then invalid_arg "Fnt_store.write: size";
   let now = Simclock.now (Device.clock t.device) in
   (match Lru.peek t.cache page with
   | Some c ->
@@ -285,18 +301,19 @@ let write t page payload =
        replaced is the committed logged image. Retain it — it is what
        must go home if its third reclaims before this change commits. *)
     if c.dirty && (not c.modified) && c.logged = None then c.logged <- Some c.payload;
-    c.payload <- Bytes.copy payload;
+    c.payload <- payload;
     c.modified <- true;
     if not c.dirty then begin
       c.dirty <- true;
       c.third <- None;
       c.dirtied_at <- now;
+      Hashtbl.replace t.dirty page c;
       Lru.pin t.cache page
     end
   | None ->
     insert_cache t page
       {
-        payload = Bytes.copy payload;
+        payload;
         dirty = true;
         modified = true;
         third = None;
@@ -318,9 +335,10 @@ let alloc t =
     in
     go 1
   with
-  | None -> Fs_error.raise_ (Fs_error.Corrupt_metadata "name table out of pages")
+  | None -> Fs_error.raise_ Fs_error.Name_table_full
   | Some page ->
     Bitmap.set t.anchor.alloc_map page;
+    t.free_pages <- t.free_pages - 1;
     write_anchor t;
     page
 
@@ -328,8 +346,15 @@ let free t page =
   if page = 0 || not (Bitmap.get t.anchor.alloc_map page) then
     invalid_arg "Fnt_store.free";
   Bitmap.clear t.anchor.alloc_map page;
+  t.free_pages <- t.free_pages + 1;
   Lru.remove t.cache page;
+  Hashtbl.remove t.dirty page;
+  dropped t page;
   write_anchor t
+
+let free_pages t = t.free_pages
+
+let ensure_free t n = if n > t.free_pages then Fs_error.raise_ Fs_error.Name_table_full
 
 let get_root t = t.anchor.root
 
@@ -355,6 +380,10 @@ let page_in_use t page =
   page >= 0
   && page < Bitmap.length t.anchor.alloc_map
   && Bitmap.get t.anchor.alloc_map page
+
+let allocated_pages t =
+  let map = t.anchor.alloc_map in
+  List.filter (Bitmap.get map) (List.init (Bitmap.length map - 1) succ)
 
 (* ------------------------------------------------------------------ *)
 (* Log integration                                                     *)
@@ -393,7 +422,8 @@ let home_write t page c =
     Stats.add t.dirty_age (float_of_int (now - c.dirtied_at));
     c.dirty <- false;
     c.modified <- false;
-    Lru.unpin t.cache page
+    Hashtbl.remove t.dirty page;
+    evicted t (Lru.unpin t.cache page)
   end
 
 (* Pages that claim [third] and could not be safely homed: modified since
@@ -402,10 +432,9 @@ let home_write t page c =
    that could roll it back is destroyed — refuse instead. Unreachable
    while the retention protocol in [write] holds. *)
 let stalled_in_third t third =
-  let n = ref 0 in
-  Lru.iter t.cache (fun _ c ->
-      if c.dirty && c.third = Some third && c.modified && c.logged = None then incr n);
-  !n
+  Hashtbl.fold
+    (fun _ c n -> if c.third = Some third && c.modified && c.logged = None then n + 1 else n)
+    t.dirty 0
 
 let flush_third t third =
   (match stalled_in_third t third with
@@ -423,11 +452,14 @@ let flush_third t third =
    than raising on) any stalled page — the synchronous reclaim at third
    entry remains the correctness backstop. *)
 let flush_some_third t third ~budget =
-  let victims = ref [] in
-  Lru.iter t.cache (fun page c ->
-      if c.dirty && c.third = Some third && not (c.modified && c.logged = None) then
-        victims := (page, c) :: !victims);
-  let victims = List.sort compare !victims in
+  let victims =
+    Hashtbl.fold
+      (fun page c acc ->
+        if c.third = Some third && not (c.modified && c.logged = None) then (page, c) :: acc
+        else acc)
+      t.dirty []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
   let n = ref 0 in
   List.iter
     (fun (page, c) ->
@@ -438,28 +470,34 @@ let flush_some_third t third ~budget =
     victims;
   !n
 
+(* [flush_third] above and [flush_all_dirty] home pages in the cache's
+   own iteration order, which sets the order of their home writes and so
+   the simulated seeks; both are rare, so they keep walking the cache. *)
 let flush_all_dirty t =
   let victims = ref [] in
   Lru.iter t.cache (fun page c -> if c.dirty then victims := (page, c) :: !victims);
   List.iter (fun (page, c) -> home_write t page c) !victims;
   List.length !victims
 
-let dirty_pages t =
-  let acc = ref [] in
-  Lru.iter t.cache (fun page c -> if c.dirty then acc := page :: !acc);
-  List.sort compare !acc
+let dirty_pages t = List.sort compare (Hashtbl.fold (fun page _ acc -> page :: acc) t.dirty [])
 
 let pages_to_log t =
-  let acc = ref [] in
-  Lru.iter t.cache (fun page c -> if c.dirty && c.modified then acc := page :: !acc);
-  List.sort compare !acc
+  Hashtbl.fold (fun page c acc -> if c.modified then page :: acc else acc) t.dirty []
+  |> List.sort compare
+
+let pages_to_log_count t =
+  Hashtbl.fold (fun _ c n -> if c.modified then n + 1 else n) t.dirty 0
 
 let cached_pages t = Lru.size t.cache
 
 let drop_clean_cache t =
   let clean = ref [] in
   Lru.iter t.cache (fun page c -> if not c.dirty then clean := page :: !clean);
-  List.iter (Lru.remove t.cache) !clean
+  List.iter
+    (fun page ->
+      Lru.remove t.cache page;
+      dropped t page)
+    !clean
 
 let flush_anchor t =
   write_anchor t;

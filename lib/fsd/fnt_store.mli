@@ -12,7 +12,16 @@
     Page 0 is the anchor: B-tree root pointer, page allocation map, and
     the uid counter. It flows through the same cache/log/home machinery,
     so a committed anchor update is exactly as durable as the tree pages
-    it describes. *)
+    it describes.
+
+    Payloads are immutable strings: [read] returns the cached string
+    itself and [write] keeps the one it is given, so the B-tree can
+    recognise a page it has already decoded by physical equality. Every
+    page leaving the cache (evicted, freed, dropped) is reported to the
+    [on_drop] hooks. Dirty pages are also kept in a table of their own,
+    so per-force work ([pages_to_log], [pages_to_log_count],
+    [dirty_pages], [flush_some_third]) costs O(dirty pages), not
+    O(cache). *)
 
 type t
 
@@ -32,12 +41,24 @@ val set_note_dirty : t -> (int -> unit) -> unit
 (** {1 Btree.STORE} *)
 
 val page_bytes : t -> int
-val read : t -> int -> bytes
-val write : t -> int -> bytes -> unit
+val read : t -> int -> string
+val write : t -> int -> string -> unit
+
 val alloc : t -> int
+(** Raises [Fs_error Name_table_full] when every page is in use. *)
+
 val free : t -> int -> unit
+
+val ensure_free : t -> int -> unit
+(** Raises [Fs_error Name_table_full] unless at least this many pages are
+    free. *)
+
+val on_drop : t -> (int -> unit) -> unit
 val get_root : t -> int option
 val set_root : t -> int option -> unit
+
+val free_pages : t -> int
+(** Pages the allocation map has free; maintained, O(1). *)
 
 val flush_anchor : t -> unit
 (** Write the anchor page home immediately (format time). *)
@@ -53,6 +74,10 @@ val bump_uid_floor : t -> int64 -> unit
 
 val page_in_use : t -> int -> bool
 (** Whether the anchor's allocation map marks this page slot live. *)
+
+val allocated_pages : t -> int list
+(** Every page the allocation map marks live, except the anchor, in
+    ascending order. *)
 
 (** {1 Log integration} *)
 
@@ -88,7 +113,10 @@ val dirty_pages : t -> int list
 
 val pages_to_log : t -> int list
 (** Dirty pages modified since they were last logged — the group-commit
-    batch. *)
+    batch, in ascending order. *)
+
+val pages_to_log_count : t -> int
+(** [List.length (pages_to_log t)] without building the list. *)
 
 val cached_pages : t -> int
 val drop_clean_cache : t -> unit
@@ -110,6 +138,6 @@ val scrub_page : t -> int -> [ `Ok | `Repaired | `Unreadable ]
     cache. *)
 
 val try_read_home :
-  Cedar_disk.Device.t -> Layout.t -> page:int -> bytes option
+  Cedar_disk.Device.t -> Layout.t -> page:int -> string option
 (** Twin-copy read of a page's payload without attaching a store and
     without repair — the scavenger's probe. *)

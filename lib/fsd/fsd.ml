@@ -403,9 +403,7 @@ let maybe_commit t =
   let due_time =
     t.autocommit && now t - t.last_force >= t.params.Params.commit_interval_us
   in
-  let due_bulk =
-    List.length (Fnt_store.pages_to_log t.store) >= force_threshold t
-  in
+  let due_bulk = Fnt_store.pages_to_log_count t.store >= force_threshold t in
   if due_time || due_bulk then force t
 
 (* Any mutation of allocation state spoils an idle-period VAM snapshot.
@@ -1541,6 +1539,26 @@ let check t =
             | exception Fs_error.Fs_error _ ->
               bad := (k ^ ": leader sector damaged") :: !bad
           end);
+    (* Every page the anchor allocates is in the tree and vice versa: a
+       page written but never linked in is a silent leak of its keys. *)
+    let reachable = List.sort compare (B.page_ids t.tree) in
+    let allocated = Fnt_store.allocated_pages t.store in
+    if reachable <> allocated then begin
+      let missing a b =
+        List.filter (fun p -> not (List.mem p b)) a
+        |> List.map string_of_int |> String.concat ","
+      in
+      bad :=
+        Printf.sprintf "fnt: pages allocated but unreachable [%s], reachable but free [%s]"
+          (missing allocated reachable) (missing reachable allocated)
+        :: !bad
+    end;
+    let free = t.params.Params.fnt_pages - 1 - List.length allocated in
+    if Fnt_store.free_pages t.store <> free then
+      bad :=
+        Printf.sprintf "fnt: free count %d but %d pages free"
+          (Fnt_store.free_pages t.store) free
+        :: !bad;
     let vam = Alloc.vam t.alloc in
     let recounted = Vam.recount_free vam in
     if recounted <> Vam.free_count vam then

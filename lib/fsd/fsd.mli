@@ -255,4 +255,7 @@ val drop_caches : t -> unit
 
 val check : t -> (unit, string) result
 (** Structural check: B-tree invariants plus leader/name-table mutual
-    checks for every file. *)
+    checks for every file; the pages reachable from the B-tree root are
+    exactly the pages the anchor's allocation map marks in use (page 0
+    aside), and the maintained free-page and free-sector counts match a
+    recount. *)

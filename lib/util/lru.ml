@@ -103,8 +103,9 @@ let unpin t k =
     if n.pinned then begin
       n.pinned <- false;
       t.unpinned <- t.unpinned + 1;
-      ignore (evict t : _ list)
+      evict t
     end
+    else []
 
 let pinned t k =
   match Hashtbl.find_opt t.table k with None -> false | Some n -> n.pinned

@@ -25,7 +25,10 @@ val remove : ('k, 'v) t -> 'k -> unit
 val mem : ('k, 'v) t -> 'k -> bool
 
 val pin : ('k, 'v) t -> 'k -> unit
-val unpin : ('k, 'v) t -> 'k -> unit
+val unpin : ('k, 'v) t -> 'k -> ('k * 'v) list
+(** Returns the entries evicted now that one more counts against the
+    capacity (possibly the unpinned entry itself). *)
+
 val pinned : ('k, 'v) t -> 'k -> bool
 
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit

@@ -8,11 +8,12 @@ let bool = Alcotest.bool
 module Mem_store = struct
   type t = {
     page_bytes : int;
-    pages : (int, bytes) Hashtbl.t;
+    pages : (int, string) Hashtbl.t;
     mutable next : int;
     mutable root : int option;
     mutable writes : int;
     free_list : (int, unit) Hashtbl.t;
+    mutable on_drop : (int -> unit) list;
   }
 
   let make ?(page_bytes = 512) () =
@@ -23,18 +24,19 @@ module Mem_store = struct
       root = None;
       writes = 0;
       free_list = Hashtbl.create 8;
+      on_drop = [];
     }
 
   let page_bytes t = t.page_bytes
 
   let read t id =
     match Hashtbl.find_opt t.pages id with
-    | Some b -> Bytes.copy b
+    | Some b -> b
     | None -> failwith (Printf.sprintf "read of unallocated page %d" id)
 
   let write t id b =
     t.writes <- t.writes + 1;
-    Hashtbl.replace t.pages id (Bytes.copy b)
+    Hashtbl.replace t.pages id b
 
   let alloc t =
     let id = t.next in
@@ -44,7 +46,11 @@ module Mem_store = struct
   let free t id =
     if Hashtbl.mem t.free_list id then failwith "double free";
     Hashtbl.replace t.free_list id ();
-    Hashtbl.remove t.pages id
+    Hashtbl.remove t.pages id;
+    List.iter (fun f -> f id) t.on_drop
+
+  let ensure_free _ _ = ()
+  let on_drop t f = t.on_drop <- f :: t.on_drop
 
   let get_root t = t.root
   let set_root t r = t.root <- r
@@ -191,7 +197,7 @@ let test_corrupt_page_detected () =
   let t = T.attach s in
   T.insert t ~key:"a" ~value:"1";
   (match Mem_store.get_root s with
-  | Some root -> Hashtbl.replace s.Mem_store.pages root (Bytes.make 512 '\xff')
+  | Some root -> Hashtbl.replace s.Mem_store.pages root (String.make 512 '\xff')
   | None -> Alcotest.fail "no root");
   match T.find t "a" with
   | _ -> Alcotest.fail "expected Corrupt"

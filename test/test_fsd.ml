@@ -700,9 +700,39 @@ let test_crash_hidden_commit_model () =
   check bool "minimised seed-40 script passes with commit-aware model" true ok;
   check bool "script still triggers a hidden commit" true (hidden > 0)
 
+(* A full name table refuses a create with a typed error before touching
+   the tree: every acked file survives, and every allocated name-table page
+   stays reachable (the check names any orphaned split half). The table
+   sizes straddle the first root split, where a split leaf's parent is the
+   one left without a page. *)
+let test_name_table_full () =
+  let name i = Printf.sprintf "dir/a-rather-long-file-name-%04d" (i * 7919 mod 10007) in
+  List.iter
+    (fun pages ->
+      let device = Device.create ~clock:(Simclock.create ()) Geometry.small_test in
+      Fsd.format device
+        { (Params.for_geometry Geometry.small_test) with
+          Params.fnt_page_sectors = 1; fnt_pages = pages };
+      let fs = boot_fs device in
+      let acked = ref [] and refused = ref 0 in
+      for i = 0 to 250 do
+        match Fsd.create fs ~name:(name i) (content 10 i) with
+        | _ -> acked := name i :: !acked
+        | exception Fs_error.Fs_error Fs_error.Name_table_full -> incr refused
+      done;
+      let label what = Printf.sprintf "%d pages: %s" pages what in
+      check bool (label "some creates refused") true (!refused > 0);
+      check (Alcotest.result Alcotest.unit Alcotest.string) (label "check") (Ok ())
+        (Fsd.check fs);
+      Fsd.shutdown fs;
+      let fs = boot_fs device in
+      List.iter (fun n -> check bool (label ("kept " ^ n)) true (Fsd.exists fs ~name:n)) !acked)
+    [ 4; 14; 15; 16; 17; 18 ]
+
 let suite =
   [
     ("create/read roundtrip", `Quick, test_create_read_roundtrip);
+    ("name table full", `Quick, test_name_table_full);
     ("empty file", `Quick, test_empty_file);
     ("read page", `Quick, test_read_page);
     ("missing file errors", `Quick, test_missing_file_errors);

@@ -339,7 +339,7 @@ let mk_store () =
   Fnt_store.flush_anchor s;
   (device, l, s)
 
-let page_payload s c = Bytes.make (Fnt_store.page_bytes s) c
+let page_payload s c = String.make (Fnt_store.page_bytes s) c
 
 let test_store_write_is_cached_not_on_disk () =
   let device, _, s = mk_store () in
@@ -359,7 +359,7 @@ let test_store_flush_writes_both_copies () =
   (* fresh store reads it back from either copy *)
   let s2 = Fnt_store.attach device l in
   check bool "content back" true
-    (Bytes.equal (page_payload s 'q') (Fnt_store.read s2 page))
+    (String.equal (page_payload s 'q') (Fnt_store.read s2 page))
 
 let test_store_repairs_bad_copy () =
   let device, l, s = mk_store () in
@@ -369,7 +369,7 @@ let test_store_repairs_bad_copy () =
   ignore (Fnt_store.flush_third s 0 : int);
   Device.damage device (Layout.fnt_sector_a l ~page);
   let s2 = Fnt_store.attach device l in
-  check bool "read heals" true (Bytes.equal (page_payload s 'r') (Fnt_store.read s2 page));
+  check bool "read heals" true (String.equal (page_payload s 'r') (Fnt_store.read s2 page));
   check bool "repair counted" true (Fnt_store.repairs s2 > 0);
   check bool "copy A healed" false (Device.is_damaged device (Layout.fnt_sector_a l ~page))
 
@@ -416,6 +416,129 @@ let test_store_free_page_reusable () =
   let p2 = Fnt_store.alloc s in
   check int "slot reused" p1 p2
 
+(* ------------------------------------------------------------------ *)
+(* The name-table B-tree over Fnt_store                               *)
+
+module B = Cedar_btree.Btree.Make (Fnt_store)
+
+(* A fresh store on the small test disk with the given name-table shape. *)
+let mk_tree_store ~page_sectors ~pages ~cache =
+  let p =
+    { (params ()) with
+      Params.fnt_page_sectors = page_sectors; fnt_pages = pages; cache_pages = cache }
+  in
+  let s = Fnt_store.create_fresh (mk_device ()) (Layout.compute geom p) in
+  (s, B.attach s)
+
+let tree_key i = Printf.sprintf "dir/file-%05d" (i * 7919 mod 10007)
+let tree_value i = String.make (8 + (i * 13 mod 48)) (Char.chr (97 + (i mod 26)))
+
+(* A split needs one page per splitting level plus a new root. When the
+   name table cannot supply them, the insert must be refused before any
+   page is written: otherwise the half already written is orphaned and
+   its keys vanish while the tree still checks out. *)
+let test_tree_exhaustion_keeps_keys () =
+  for limit = 2 to 40 do
+    let s, t = mk_tree_store ~page_sectors:1 ~pages:limit ~cache:64 in
+    let inserted = ref [] and refusals = ref 0 in
+    for i = 0 to 400 do
+      let map_before = Fnt_store.allocated_pages s in
+      match B.insert t ~key:(tree_key i) ~value:(tree_value i) with
+      | () -> inserted := i :: !inserted
+      | exception Fs_error.Fs_error Fs_error.Name_table_full ->
+        incr refusals;
+        check (Alcotest.list int)
+          (Printf.sprintf "limit %d: allocation map unchanged" limit)
+          map_before (Fnt_store.allocated_pages s);
+        (match B.check t with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "limit %d: check: %s" limit m);
+        List.iter
+          (fun j ->
+            if B.find t (tree_key j) <> Some (tree_value j) then
+              Alcotest.failf "limit %d: key %s lost after a refused insert" limit
+                (tree_key j))
+          !inserted
+    done;
+    check bool (Printf.sprintf "limit %d: the table filled up" limit) true (!refusals > 0);
+    check (Alcotest.list int)
+      (Printf.sprintf "limit %d: every allocated page is in the tree" limit)
+      (Fnt_store.allocated_pages s)
+      (List.sort compare (B.page_ids t));
+    check int
+      (Printf.sprintf "limit %d: free count" limit)
+      (limit - 1 - List.length (Fnt_store.allocated_pages s))
+      (Fnt_store.free_pages s)
+  done
+
+(* Refusal is exact: an insert is refused only when it needs more pages
+   than are free. What it needs is measured by replaying the acked
+   inserts on a roomy table, which builds the same tree, then applying
+   the refused one there. *)
+let test_tree_exhaustion_is_exact () =
+  List.iter
+    (fun limit ->
+      let s, t = mk_tree_store ~page_sectors:1 ~pages:limit ~cache:64 in
+      let acked = ref [] in
+      for i = 0 to 200 do
+        let free = Fnt_store.free_pages s in
+        match B.insert t ~key:(tree_key i) ~value:(tree_value i) with
+        | () -> acked := i :: !acked
+        | exception Fs_error.Fs_error Fs_error.Name_table_full ->
+          let s', t' = mk_tree_store ~page_sectors:1 ~pages:400 ~cache:64 in
+          List.iter (fun j -> B.insert t' ~key:(tree_key j) ~value:(tree_value j)) (List.rev !acked);
+          let before = Fnt_store.free_pages s' in
+          B.insert t' ~key:(tree_key i) ~value:(tree_value i);
+          let needed = before - Fnt_store.free_pages s' in
+          if needed <= free then
+            Alcotest.failf "limit %d: insert %d refused, needing %d pages with %d free"
+              limit i needed free
+      done)
+    [ 3; 12 ]
+
+(* Warm lookups reuse decoded nodes: no page copy and no re-decode, so a
+   find allocates a few words, not a node's worth per level. Copying and
+   decoding every level on every find allocated 659,346 words here; the
+   memo brings it to 47,004. The bound sits between the two, at least 3x
+   the one and at most a third of the other. *)
+let test_tree_warm_find_allocation () =
+  let s, t = mk_tree_store ~page_sectors:1 ~pages:400 ~cache:512 in
+  let n = 1500 in
+  for i = 0 to n - 1 do
+    B.insert t ~key:(tree_key i) ~value:(tree_value i)
+  done;
+  check int "three levels" 3 (B.stats t).Cedar_btree.Btree.depth;
+  ignore (Fnt_store.flush_all_dirty s : int);
+  for i = 0 to n - 1 do
+    ignore (B.find t (tree_key i) : string option)
+  done;
+  let keys = Array.init 1000 (fun i -> tree_key (i * 37 mod n)) in
+  let before = Gc.minor_words () in
+  Array.iter (fun k -> ignore (B.find t k : string option)) keys;
+  let words = Gc.minor_words () -. before in
+  if words > 150_000. then
+    Alcotest.failf "1000 warm finds allocated %.0f words (limit 150000)" words
+
+(* The memo follows the store's cache: scanning a tree bigger than the
+   cache leaves no more decoded nodes than cached pages. *)
+let test_tree_memo_bounded_by_cache () =
+  let s, t = mk_tree_store ~page_sectors:1 ~pages:200 ~cache:8 in
+  for i = 0 to 599 do
+    B.insert t ~key:(tree_key i) ~value:(tree_value i)
+  done;
+  ignore (Fnt_store.flush_all_dirty s : int);
+  let pages = (B.stats t).Cedar_btree.Btree.pages in
+  check bool "tree larger than the cache" true (pages > 8);
+  let seen = ref 0 in
+  B.iter t (fun _ _ -> incr seen);
+  check int "scan saw every entry" 600 !seen;
+  check bool "memo in use" true (B.cached_nodes t > 0);
+  if B.cached_nodes t > Fnt_store.cached_pages s then
+    Alcotest.failf "memo holds %d nodes, cache %d pages" (B.cached_nodes t)
+      (Fnt_store.cached_pages s);
+  Fnt_store.drop_clean_cache s;
+  check int "dropping the cache empties the memo" 0 (B.cached_nodes t)
+
 let suite =
   [
     ("params: defaults valid", `Quick, test_params_default_valid);
@@ -447,4 +570,8 @@ let suite =
     ("store: modified-since-log tracking", `Quick, test_store_modified_tracking);
     ("store: uid/anchor persist", `Quick, test_store_uid_and_anchor_persist);
     ("store: freed page reusable", `Quick, test_store_free_page_reusable);
+    ("tree: exhaustion keeps every acked key", `Quick, test_tree_exhaustion_keeps_keys);
+    ("tree: exhaustion refusal is exact", `Quick, test_tree_exhaustion_is_exact);
+    ("tree: warm finds allocate little", `Quick, test_tree_warm_find_allocation);
+    ("tree: memo bounded by the cache", `Quick, test_tree_memo_bounded_by_cache);
   ]

@@ -480,6 +480,195 @@ let prop_vam_pending_runs_match_shadow_bitmap =
            ops)
 
 (* ------------------------------------------------------------------ *)
+(* B-tree with its decoded-node memo vs a Map, over a store whose small
+   LRU evicts, whose page count is capped, and whose pages are sometimes
+   rewritten behind the tree's back. *)
+
+exception Store_full
+
+module Evicting_store = struct
+  type t = {
+    limit : int; (* page ids 0 .. limit-1 *)
+    used : (int, unit) Hashtbl.t;
+    home : (int, string) Hashtbl.t; (* each written page's current image *)
+    cache : (int, string) Lru.t;
+    mutable root : int option;
+    mutable on_drop : (int -> unit) list;
+  }
+
+  let create ~limit ~cache =
+    {
+      limit;
+      used = Hashtbl.create 64;
+      home = Hashtbl.create 64;
+      cache = Lru.create ~capacity:cache;
+      root = None;
+      on_drop = [];
+    }
+
+  let page_bytes _ = 256
+  let on_drop t f = t.on_drop <- f :: t.on_drop
+  let dropped t page = List.iter (fun f -> f page) t.on_drop
+  let cache t page s = List.iter (fun (p, _) -> dropped t p) (Lru.add t.cache page s)
+
+  (* A miss returns a fresh string, as a disk read would. *)
+  let read t page =
+    match Lru.find t.cache page with
+    | Some s -> s
+    | None ->
+      let s = Bytes.to_string (Bytes.of_string (Hashtbl.find t.home page)) in
+      cache t page s;
+      s
+
+  let write t page s =
+    Hashtbl.replace t.home page s;
+    cache t page s
+
+  let alloc t =
+    let rec go i =
+      if i >= t.limit then raise Store_full
+      else if Hashtbl.mem t.used i then go (i + 1)
+      else i
+    in
+    let page = go 0 in
+    Hashtbl.replace t.used page ();
+    page
+
+  let free t page =
+    Hashtbl.remove t.used page;
+    Hashtbl.remove t.home page;
+    Lru.remove t.cache page;
+    dropped t page
+
+  let ensure_free t n = if n > t.limit - Hashtbl.length t.used then raise Store_full
+  let get_root t = t.root
+  let set_root t r = t.root <- r
+
+  (* Out of band: the page gets a new image string while the cache keeps
+     holding it, so no drop is reported. *)
+  let rewrite t page s =
+    Hashtbl.replace t.home page s;
+    if Lru.mem t.cache page then cache t page s
+end
+
+module Bt = Cedar_btree.Btree.Make (Evicting_store)
+module Sm = Map.Make (String)
+
+type bt_op =
+  | Bt_insert of int * int
+  | Bt_delete of int
+  | Bt_find of int
+  | Bt_last_below of int
+  | Bt_range of int * int
+  | Bt_rewrite of int (* re-image a live page with an equal copy *)
+  | Bt_snapshot
+  | Bt_rollback (* re-image every page with its snapshot image *)
+
+let bt_op_gen =
+  let open QCheck.Gen in
+  let k = int_bound 150 in
+  frequency
+    [
+      (6, map2 (fun k len -> Bt_insert (k, len)) k (int_bound 40));
+      (3, map (fun k -> Bt_delete k) k);
+      (2, map (fun k -> Bt_find k) k);
+      (2, map (fun k -> Bt_last_below k) k);
+      (1, map2 (fun a b -> Bt_range (a, b)) k k);
+      (1, map (fun i -> Bt_rewrite i) (int_bound 1000));
+      (1, return Bt_snapshot);
+      (1, return Bt_rollback);
+    ]
+
+let bt_op_print = function
+  | Bt_insert (k, len) -> Printf.sprintf "insert %d/%d" k len
+  | Bt_delete k -> Printf.sprintf "delete %d" k
+  | Bt_find k -> Printf.sprintf "find %d" k
+  | Bt_last_below k -> Printf.sprintf "last_below %d" k
+  | Bt_range (a, b) -> Printf.sprintf "range %d-%d" a b
+  | Bt_rewrite i -> Printf.sprintf "rewrite %d" i
+  | Bt_snapshot -> "snapshot"
+  | Bt_rollback -> "rollback"
+
+let prop_btree_memo_vs_map =
+  QCheck.Test.make ~name:"btree: memoised tree matches a Map over an evicting store"
+    ~count:120
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int (list bt_op_print))
+       QCheck.Gen.(
+         triple (int_range 2 16) (int_range 1 6) (list_size (int_range 1 120) bt_op_gen)))
+    (fun (limit, cache, ops) ->
+      let s = Evicting_store.create ~limit ~cache in
+      let t = Bt.attach s in
+      let model = ref Sm.empty in
+      let snapshot = ref None in
+      let key k = Printf.sprintf "k%03d" k in
+      let value k len = String.make len (Char.chr (97 + ((k + len) mod 26))) in
+      let bindings tree = List.rev (Bt.fold_range tree ~init:[] ~f:(fun acc k v -> (k, v) :: acc)) in
+      let range lo hi m = List.filter (fun (k, _) -> lo <= k && k < hi) (Sm.bindings m) in
+      (* Queries answer the same on the warm tree, on a cold one and on the model. *)
+      let query f expected =
+        let cold = Bt.attach s in
+        f t = expected && f cold = expected
+      in
+      let step = function
+        | Bt_insert (k, len) -> (
+          match Bt.insert t ~key:(key k) ~value:(value k len) with
+          | () ->
+            model := Sm.add (key k) (value k len) !model;
+            true
+          | exception Store_full -> true)
+        | Bt_delete k ->
+          let was = Sm.mem (key k) !model in
+          model := Sm.remove (key k) !model;
+          Bt.delete t (key k) = was
+        | Bt_find k -> query (fun tree -> Bt.find tree (key k)) (Sm.find_opt (key k) !model)
+        | Bt_last_below k ->
+          query
+            (fun tree -> Bt.find_last_below tree (key k))
+            (Sm.find_last_opt (fun k' -> String.compare k' (key k) < 0) !model)
+        | Bt_range (a, b) ->
+          let lo = key (min a b) and hi = key (max a b) in
+          query
+            (fun tree ->
+              List.rev (Bt.fold_range ~lo ~hi tree ~init:[] ~f:(fun acc k v -> (k, v) :: acc)))
+            (range lo hi !model)
+        | Bt_rewrite i ->
+          let live = List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) s.used []) in
+          (match live with
+          | [] -> ()
+          | _ ->
+            let page = List.nth live (i mod List.length live) in
+            Evicting_store.rewrite s page
+              (Bytes.to_string (Bytes.of_string (Hashtbl.find s.home page))));
+          true
+        | Bt_snapshot ->
+          snapshot := Some (Hashtbl.copy s.home, Hashtbl.copy s.used, s.root, !model);
+          true
+        | Bt_rollback ->
+          (match !snapshot with
+          | None -> ()
+          | Some (home, used, root, m) ->
+            Hashtbl.iter
+              (fun p () -> if not (Hashtbl.mem used p) then Evicting_store.free s p)
+              (Hashtbl.copy s.used);
+            Hashtbl.iter (fun p img -> Evicting_store.rewrite s p img) home;
+            Hashtbl.reset s.used;
+            Hashtbl.iter (fun p () -> Hashtbl.replace s.used p ()) used;
+            s.root <- root;
+            model := m);
+          true
+      in
+      let consistent () =
+        let live = List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) s.used []) in
+        Bt.check t = Ok ()
+        && bindings t = Sm.bindings !model
+        && bindings (Bt.attach s) = Sm.bindings !model
+        && List.sort compare (Bt.page_ids t) = live
+        && Bt.cached_nodes t <= Lru.size s.cache
+      in
+      List.for_all (fun op -> step op && consistent ()) ops)
+
+(* ------------------------------------------------------------------ *)
 (* Geometry: chs mapping is a bijection for random geometries. *)
 
 let prop_geometry_chs_bijection =
@@ -521,5 +710,6 @@ let suite =
       prop_bitmap_find_run_correct;
       prop_bitmap_find_run_down_correct;
       prop_vam_pending_runs_match_shadow_bitmap;
+      prop_btree_memo_vs_map;
       prop_geometry_chs_bijection;
     ]

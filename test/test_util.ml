@@ -147,7 +147,9 @@ let test_lru_pinned_never_evicted () =
   ignore (Lru.add c 3 "c");
   ignore (Lru.add c 4 "d");
   check bool "pinned survives" true (Lru.mem c 1);
-  Lru.unpin c 1;
+  (* 1 is the least recently used, so unpinning it past capacity evicts it *)
+  check (Alcotest.list (Alcotest.pair int Alcotest.string)) "unpin evicts"
+    [ (1, "a") ] (Lru.unpin c 1);
   ignore (Lru.add c 5 "e");
   check int "capacity respected after unpin" 2 (Lru.size c)
 
