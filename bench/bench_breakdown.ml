@@ -155,10 +155,7 @@ let checks rungs twice =
     ("deterministic", first.json = twice.json);
   ]
 
-let default_out = "BENCH_BREAKDOWN.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let run ~out =
   Setup.hr "knee-sweep latency breakdown (cedar why, conserved phase blame)";
   let rungs = List.map run_rung rates in
   let twice = run_rung (List.hd rates) in
@@ -174,10 +171,6 @@ let run ?out () =
         (100.0 *. entry_side r))
     rungs;
   let cs = checks rungs twice in
-  let failed = List.filter (fun (_, ok) -> not ok) cs in
-  List.iter (fun (name, _) -> Printf.printf "  WARNING: check failed: %s\n" name) failed;
-  if failed = [] then
-    Printf.printf "  all %d blame-shift checks hold\n" (List.length cs);
   let obj =
     J.Obj
       [
@@ -188,12 +181,9 @@ let run ?out () =
         ("queue_cap", J.Int config.S.queue_cap);
         ("commit_interval_us", J.Int params.Cedar_fsd.Params.commit_interval_us);
         ("checks", J.Obj (List.map (fun (n, ok) -> (n, J.Bool ok)) cs));
-        ("checks_failed", J.Int (List.length failed));
+        ("checks_failed", J.Int (List.length (Kit.failures cs)));
         ("rungs", J.Arr (List.map rung_json rungs));
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Kit.write out obj;
+  cs

@@ -52,10 +52,7 @@ let row_json row =
       ("errors", J.Int r.S.total_errors);
     ]
 
-let default_out = "BENCH_GROUPCOMMIT.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let run ~out =
   Setup.hr "group-commit scaling: N concurrent make/do clients (cedar serve)";
   Printf.printf
     "  %7s %9s %9s %8s %11s %12s %12s %10s\n"
@@ -75,13 +72,7 @@ let run ?out () =
      amortisation strictly improves with client count. *)
   let rec monotone = function
     | a :: (b : row) :: rest ->
-      if b.r.S.ops_per_force <= a.r.S.ops_per_force then begin
-        Printf.printf
-          "  WARNING: ops/force not monotone (%d clients: %.2f, %d clients: %.2f)\n"
-          a.n a.r.S.ops_per_force b.n b.r.S.ops_per_force;
-        false
-      end
-      else monotone (b :: rest)
+      b.r.S.ops_per_force > a.r.S.ops_per_force && monotone (b :: rest)
     | _ -> true
   in
   let mono = monotone rows in
@@ -105,8 +96,5 @@ let run ?out () =
         ("rows", J.Arr (List.map row_json rows));
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Kit.write out obj;
+  [ ("ops_per_force_monotone", mono) ]

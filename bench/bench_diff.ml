@@ -7,26 +7,33 @@
    fractions) get a 10% relative tolerance so that a legitimately
    re-timed run — a device-model tweak, a scheduling change — reads as
    "within tolerance" while a behavioural change (counts, violations,
-   structure) still trips the diff.
+   structure) still trips the diff. A snapshot whose bytes match the
+   committed file exactly reads as "identical".
 
-   Exits non-zero on any drift, which is what wires it into make ci:
-   either the code change is benign and the snapshots are regenerated
-   and committed alongside it, or the drift is a regression and the
-   build says so. *)
+   Returns one check per snapshot for drift plus every check the
+   regenerating bench returned, so the run fails (main.exe exits 1) on
+   drift or on a false check: either the code change is benign and the
+   snapshots are regenerated and committed alongside it, or the build
+   says what regressed. *)
 
 module J = Cedar_obs.Jsonb
 
-let snapshots : (string * (string -> unit)) list =
+(* Every committed snapshot: the file, the main.exe target that writes
+   it, and the bench itself. [bench snapshots] and [bench diff] both
+   walk this table. *)
+type snapshot = { file : string; target : string; run : out:string -> Kit.checks }
+
+let snapshots =
   [
-    ("BENCH_OBS.json", fun out -> Obs_json.run ~out ());
-    ("BENCH_GROUPCOMMIT.json", fun out -> Bench_clients.run ~out ());
-    ("BENCH_FAULTSWEEP.json", fun out -> Bench_faultsweep.run ~out ());
-    ("BENCH_RECOVERY.json", fun out -> Bench_recovery.run ~out ());
-    ("BENCH_WRAP.json", fun out -> Bench_wrap.run ~out ());
-    ("BENCH_TIMELINE.json", fun out -> Bench_timeline.run ~out ());
-    ("BENCH_BREAKDOWN.json", fun out -> Bench_breakdown.run ~out ());
-    ("BENCH_VOLUMES.json", fun out -> Bench_volumes.run ~out ());
-    ("BENCH_QDEPTH.json", fun out -> Bench_qdepth.run ~out ());
+    { file = "BENCH_OBS.json"; target = "obs-json"; run = Obs_json.run };
+    { file = "BENCH_GROUPCOMMIT.json"; target = "clients"; run = Bench_clients.run };
+    { file = "BENCH_FAULTSWEEP.json"; target = "faultsweep"; run = Bench_faultsweep.run };
+    { file = "BENCH_RECOVERY.json"; target = "recovery"; run = Bench_recovery.run };
+    { file = "BENCH_WRAP.json"; target = "wrap"; run = Bench_wrap.run };
+    { file = "BENCH_TIMELINE.json"; target = "timeline"; run = Bench_timeline.run };
+    { file = "BENCH_BREAKDOWN.json"; target = "breakdown"; run = Bench_breakdown.run };
+    { file = "BENCH_VOLUMES.json"; target = "volumes"; run = Bench_volumes.run };
+    { file = "BENCH_QDEPTH.json"; target = "qdepth"; run = Bench_qdepth.run };
   ]
 
 let scratch_dir = "_build/bench-diff"
@@ -117,70 +124,74 @@ let mkdir_p path =
   (try Sys.mkdir parent 0o755 with Sys_error _ -> ());
   try Sys.mkdir path 0o755 with Sys_error _ -> ()
 
-(* The drift lines for one snapshot, and the host seconds its
-   regeneration took (0 when there is nothing to regenerate). *)
-let diff_one name regen =
-  if not (Sys.file_exists name) then ([ name ^ ": no committed snapshot" ], 0.)
+type result = {
+  snap : snapshot;
+  identical : bool;
+  drift : string list;
+  checks : Kit.checks;
+  host_s : float;  (** host seconds the regeneration took *)
+}
+
+let diff_one snap =
+  let name = snap.file in
+  if not (Sys.file_exists name) then
+    { snap; identical = false; drift = [ name ^ ": no committed snapshot" ];
+      checks = []; host_s = 0. }
   else begin
     let fresh = Filename.concat scratch_dir name in
     let t0 = Unix.gettimeofday () in
-    regen fresh;
+    let checks = snap.run ~out:fresh in
     let host_s = Unix.gettimeofday () -. t0 in
     let want = parse name name and got = parse fresh fresh in
-    (List.rev (diff ~path:name ~key:"" want got []), host_s)
+    { snap; identical = read_file name = read_file fresh;
+      drift = List.rev (diff ~path:name ~key:"" want got []); checks; host_s }
   end
 
 let run ?out () =
   Setup.hr "snapshot drift check (regenerate every BENCH_*.json and compare)";
   mkdir_p scratch_dir;
-  let results =
-    List.map
-      (fun (name, regen) ->
-        let drift, host_s = diff_one name regen in
-        (name, drift, host_s))
-      snapshots
-  in
+  let results = List.map diff_one snapshots in
   Setup.hr "bench-diff verdict (host seconds to regenerate each snapshot)";
-  let total =
-    List.fold_left (fun n (name, drift, host_s) ->
-        (match drift with
-        | [] -> Printf.printf "  %-24s %7.1f s  ok\n" name host_s
-        | ds ->
-          Printf.printf "  %-24s %7.1f s  %d field(s) drifted\n" name host_s
-            (List.length ds);
-          List.iteri (fun i d -> if i < 12 then Printf.printf "    %s\n" d) ds;
-          if List.length ds > 12 then
-            Printf.printf "    ... and %d more\n" (List.length ds - 12));
-        n + List.length drift)
-      0 results
-  in
+  List.iter
+    (fun r ->
+      let failed = List.length (Kit.failures r.checks) in
+      Printf.printf "  %-24s %7.1f s  %s%s\n" r.snap.file r.host_s
+        (match r.drift with
+        | [] -> if r.identical then "identical" else "within tolerance"
+        | ds -> Printf.sprintf "%d field(s) drifted" (List.length ds))
+        (if failed = 0 then "" else Printf.sprintf ", %d check(s) failed" failed);
+      List.iteri (fun i d -> if i < 12 then Printf.printf "    %s\n" d) r.drift;
+      if List.length r.drift > 12 then
+        Printf.printf "    ... and %d more\n" (List.length r.drift - 12))
+    results;
   Printf.printf "  %-24s %7.1f s\n" "total"
-    (List.fold_left (fun s (_, _, host_s) -> s +. host_s) 0. results);
+    (List.fold_left (fun s r -> s +. r.host_s) 0. results);
+  let total = List.fold_left (fun n r -> n + List.length r.drift) 0 results in
   (match out with
   | None -> ()
   | Some path ->
-    let obj =
-      J.Obj
-        [
-          ("bench", J.Str "diff");
-          ("drifted_fields", J.Int total);
-          ( "snapshots",
-            J.Obj
-              (List.map
-                 (fun (name, ds, _) ->
-                   (name, J.Arr (List.map (fun d -> J.Str d) ds)))
-                 results) );
-        ]
-    in
-    let oc = open_out path in
-    output_string oc (J.to_string_pretty obj);
-    output_char oc '\n';
-    close_out oc);
-  if total > 0 then begin
+    Kit.write path
+      (J.Obj
+         [
+           ("bench", J.Str "diff");
+           ("drifted_fields", J.Int total);
+           ( "snapshots",
+             J.Obj
+               (List.map
+                  (fun r ->
+                    (r.snap.file, J.Arr (List.map (fun d -> J.Str d) r.drift)))
+                  results) );
+         ]));
+  if total > 0 then
     Printf.printf
       "  DRIFT: %d field(s); regenerate with 'make bench' and commit, or fix \
        the regression\n"
-      total;
-    exit 1
-  end
-  else print_endline "  all snapshots within tolerance"
+      total
+  else if List.for_all (fun r -> r.identical) results then
+    print_endline "  all snapshots identical"
+  else print_endline "  all snapshots within tolerance";
+  List.concat_map
+    (fun r ->
+      (r.snap.file ^ ": no drift", r.drift = [])
+      :: List.map (fun (c, ok) -> (r.snap.file ^ ": " ^ c, ok)) r.checks)
+    results

@@ -165,10 +165,7 @@ let depth1_checks cells baselines =
       (clients, same))
     client_counts
 
-let default_out = "BENCH_QDEPTH.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let run ~out =
   Setup.hr
     "disk scheduler sweep: clients x queue depth x policy (churn workload)";
   let cells =
@@ -205,23 +202,6 @@ let run ?out () =
     List.for_all (fun (_, _, elev, sstf) -> elev || sstf) shapes
   in
   let depth1_ok = List.for_all snd d1 in
-  List.iter
-    (fun (clients, depth, elev, sstf) ->
-      if not (elev || sstf) then
-        Printf.printf
-          "  WARNING: no policy beats fifo at clients=%d depth=%d (elevator=%b sstf=%b)\n"
-          clients depth elev sstf)
-    shapes;
-  List.iter
-    (fun (clients, same) ->
-      if not same then
-        Printf.printf
-          "  WARNING: depth-1 rows differ from the queue-off baseline at clients=%d\n"
-          clients)
-    d1;
-  Printf.printf "  shape checks %s, depth-1 degeneracy %s\n"
-    (if shape_ok then "ok" else "FAILED")
-    (if depth1_ok then "ok" else "FAILED");
   let obj =
     J.Obj
       [
@@ -262,8 +242,5 @@ let run ?out () =
         ("rows", J.Arr (List.map row_json cells));
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Kit.write out obj;
+  [ ("shape_ok", shape_ok); ("depth1_ok", depth1_ok) ]

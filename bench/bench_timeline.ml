@@ -163,10 +163,7 @@ let checks rungs twice =
     ("deterministic", first.timeline_json = twice.timeline_json);
   ]
 
-let default_out = "BENCH_TIMELINE.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let run ~out =
   Setup.hr "open-loop saturation sweep (cedar serve --open-loop, telemetry monitor)";
   let rungs = List.map run_rung rates in
   let twice = run_rung (List.hd rates) in
@@ -182,9 +179,6 @@ let run ?out () =
         (List.length r.samples))
     rungs;
   let cs = checks rungs twice in
-  let failed = List.filter (fun (_, ok) -> not ok) cs in
-  List.iter (fun (name, _) -> Printf.printf "  WARNING: check failed: %s\n" name) failed;
-  if failed = [] then Printf.printf "  all %d knee checks hold\n" (List.length cs);
   let obj =
     J.Obj
       [
@@ -196,12 +190,9 @@ let run ?out () =
         ("commit_interval_us", J.Int commit_interval_us);
         ("monitor_interval_us", J.Int params.Cedar_fsd.Params.monitor_interval_us);
         ("checks", J.Obj (List.map (fun (n, ok) -> (n, J.Bool ok)) cs));
-        ("checks_failed", J.Int (List.length failed));
+        ("checks_failed", J.Int (List.length (Kit.failures cs)));
         ("rungs", J.Arr (List.map rung_json rungs));
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  Kit.write out obj;
+  cs

@@ -7,7 +7,7 @@ open Cedar_fsbase
 module Obs = Cedar_obs
 module Script = Cedar_workload.Obs_script
 
-let run ?(out = "BENCH_OBS.json") () =
+let run ~out =
   (* Tables 3/4 + 2: the fixed scripted workload, then the paper's bulk
      pattern (100 x 512 B), both traced on a fresh FSD volume. *)
   let device, fs = Setup.fsd_volume () in
@@ -72,9 +72,8 @@ let run ?(out = "BENCH_OBS.json") () =
         ("fsd_counters", Cedar_fsd.Fsd.counters_json fs2);
       ]
   in
-  let oc = open_out out in
-  output_string oc (Obs.Jsonb.to_string_pretty json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d per-op rows, %d recovery phases, %d log records)\n"
-    out (List.length per_op) (List.length phases) log.Obs.Tables.records
+  Kit.write out json
+    ~note:
+      (Printf.sprintf " (%d per-op rows, %d recovery phases, %d log records)"
+         (List.length per_op) (List.length phases) log.Obs.Tables.records);
+  []

@@ -474,10 +474,9 @@ let print_serve_report json r =
        mutations/force\n"
       r.S.log_forces r.S.server_forces r.S.ops_per_force;
     Printf.printf
-      "admission: %d rejects (%d queue-full, %d backpressure), %d \
-       retries, %d dropped\n"
-      r.S.total_rejected r.S.reject_queue_full r.S.reject_backpressure
-      r.S.total_retries r.S.total_dropped;
+      "admission: %d rejects (%d queue-full), %d retries, %d dropped\n"
+      r.S.total_rejected r.S.reject_queue_full r.S.total_retries
+      r.S.total_dropped;
     Printf.printf "commit wait: mean %.1f ms, p50 %.1f, p99 %.1f, max %.1f (%d waits)\n"
       (r.S.wait_mean_us /. 1000.) (r.S.wait_p50_us /. 1000.)
       (r.S.wait_p99_us /. 1000.) (r.S.wait_max_us /. 1000.) r.S.wait_n;

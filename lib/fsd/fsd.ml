@@ -1101,12 +1101,6 @@ let token_durable t (tok : token) = t.durable_seq >= tok
 let mutation_seq t = t.mutation_seq
 let durable_seq t = t.durable_seq
 
-(* How full the third the log is currently appending into is — the
-   batcher's backpressure signal: close to 1.0 means the next forces will
-   enter a fresh third and overwrite the oldest records, forcing early
-   page flushes ([handle_enter_third]). *)
-let log_third_fill t = Log.third_fill t.log
-
 let commit_due_at t = t.last_force + t.params.Params.commit_interval_us
 
 (* ------------------------------------------------------------------ *)
@@ -1152,17 +1146,7 @@ let enable_monitor ?ring ?window ?interval_us t =
       else float_of_int (v.Monitor.delta "server.acked") /. float_of_int forces);
   Monitor.derive m "sat.op_rate_s" (fun v -> per_second (v.Monitor.delta "fsd.ops") v);
   Monitor.derive m "sat.reject_rate_s" (fun v ->
-      per_second
-        (v.Monitor.delta "server.rejects.queue_full"
-        + v.Monitor.delta "server.rejects.backpressure")
-        v);
-  (* Split admission-reject rates: overload shows up as queue_full, a
-     filling log third as backpressure — distinct remedies, so they get
-     distinct live rows. *)
-  Monitor.derive m "sat.reject_queue_full_s" (fun v ->
       per_second (v.Monitor.delta "server.rejects.queue_full") v);
-  Monitor.derive m "sat.reject_backpressure_s" (fun v ->
-      per_second (v.Monitor.delta "server.rejects.backpressure") v);
   Monitor.derive m "sat.retry_rate_s" (fun v ->
       per_second (v.Monitor.delta "server.retries") v);
   Monitor.derive m "sat.dropped_rate_s" (fun v ->

@@ -155,13 +155,6 @@ val durable_seq : t -> int
 (** Mutation sequence covered by the last completed force;
     [token_durable] is [durable_seq >= token]. *)
 
-val log_third_fill : t -> float
-(** Fraction of the current log third already consumed, in [0,1] — the
-    batcher's backpressure signal: near 1.0 the next force enters a fresh
-    third, evicting that third's logged pages. Reads exactly 1.0 (never
-    wrapping early to 0.0) while the head sits on a third boundary,
-    since the entry happens only on the next append. *)
-
 val commit_due_at : t -> int
 (** Virtual time at which the half-second commit demon next fires
     (last force time + [commit_interval_us]) — what a scheduler that
@@ -187,13 +180,15 @@ val enable_monitor :
     derived saturation gauges:
 
     - [sat.device_busy] — device busy-us this interval / interval;
-    - [sat.log_third_fill] — {!log_third_fill} at sample time;
+    - [sat.log_third_fill] — {!Log.third_fill} at sample time: near 1.0
+      the next force enters a fresh third, evicting that third's logged
+      pages;
     - [sat.queue_depth] — the server admission queue depth gauge;
     - [sat.ops_per_force] — acked server ops per non-empty force this
       interval (batcher occupancy), 0 when no force landed;
     - [sat.op_rate_s] — FSD ops per second;
     - [sat.reject_rate_s], [sat.retry_rate_s], [sat.dropped_rate_s] —
-      admission rejects (both kinds), retries and drops per second;
+      admission rejects, retries and drops per second;
     - [sat.reclaim_stall_rate_s], [sat.home_write_burst_rate_s];
 
     and watches the [server.commit_wait_us] and [fsd.op_us]

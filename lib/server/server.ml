@@ -16,15 +16,13 @@
    - size: [max_batch] sessions parked on that volume;
    - explicit: a client [Force] step (which forces every live volume).
 
-   Admission control rejects — never blocks — with two distinct typed
-   triggers, both judged against the op's target volume: [Queue_full]
-   when [queue_cap] sessions are already parked there (unconditional,
-   so each parked queue is bounded at any log fill), and [Backpressure]
-   when that volume's current log third is past [backpressure_fill]. A
-   rejected step is re-parked and retried after the volume's next
-   commit opportunity, up to [admission_retries] times; only then is it
-   dropped, and the drop is counted in the report rather than silently
-   lost.
+   Admission control rejects — never blocks — with the typed
+   [Queue_full] when [queue_cap] sessions are already parked on the op's
+   target volume (unconditional, so each parked queue is bounded at any
+   log fill). A rejected step is re-parked and retried after the
+   volume's next commit opportunity, up to [admission_retries] times;
+   only then is it dropped, and the drop is counted in the report
+   rather than silently lost.
 
    One path serves any volume count: a single-volume server is the same
    code with V = 1, and the scheduler never asks how a device is timed.
@@ -51,21 +49,14 @@ open Cedar_fsd
 open Cedar_volumes
 open Cedar_workload
 
-type error =
-  | Queue_full of { depth : int; cap : int }
-  | Backpressure of { depth : int; fill : float; threshold : float }
+type error = Queue_full of { depth : int; cap : int }
 
-let pp_error ppf = function
-  | Queue_full { depth; cap } ->
-    Format.fprintf ppf "queue-full depth=%d cap=%d" depth cap
-  | Backpressure { depth; fill; threshold } ->
-    Format.fprintf ppf "backpressure depth=%d fill=%.2f threshold=%.2f" depth
-      fill threshold
+let pp_error ppf (Queue_full { depth; cap }) =
+  Format.fprintf ppf "queue-full depth=%d cap=%d" depth cap
 
 type config = {
   max_batch : int;
   queue_cap : int;
-  backpressure_fill : float;
   admission_retries : int;
   on_force : (int -> unit) option;
   on_ack : (client:int -> op:Concurrent.op -> unit) option;
@@ -76,7 +67,6 @@ let default_config =
   {
     max_batch = 64;
     queue_cap = 256;
-    backpressure_fill = 1.0;
     admission_retries = 8;
     on_force = None;
     on_ack = None;
@@ -139,7 +129,6 @@ type vol = {
   (* Per-op end-to-end latency (arrival to ack), every op kind. *)
   v_op_latency_us : Stats.t;
   c_reject_queue_full : Metrics.counter;
-  c_reject_backpressure : Metrics.counter;
   c_retries : Metrics.counter;
   c_dropped : Metrics.counter;
   c_acked : Metrics.counter;
@@ -196,7 +185,6 @@ type report = {
   ops_per_force : float;
   total_rejected : int;
   reject_queue_full : int;
-  reject_backpressure : int;
   total_retries : int;
   total_dropped : int;
   total_errors : int;
@@ -394,31 +382,19 @@ let exec_op t v (op : Concurrent.op) =
 (* The depth cap must hold unconditionally: each volume's parked queue
    is a bounded resource, and tying it to log fill (as an earlier
    revision did) let it grow without limit whenever the log third
-   happened to be fresh. Backpressure from the target volume's log fill
-   is a second, independent trigger with its own typed error. *)
+   happened to be fresh. *)
 let admission_reject t v (s : session) (op : Concurrent.op) =
   if not (Concurrent.mutates op) then None
   else begin
     let depth = parked_on t v.v_id in
-    let reject c e =
+    if depth < t.cfg.queue_cap then None
+    else begin
+      let e = Queue_full { depth; cap = t.cfg.queue_cap } in
       s.rejected <- s.rejected + 1;
-      Metrics.inc c;
+      Metrics.inc v.c_reject_queue_full;
       (match t.cfg.on_reject with Some f -> f ~client:s.client e | None -> ());
       Some e
-    in
-    if depth >= t.cfg.queue_cap then
-      reject v.c_reject_queue_full (Queue_full { depth; cap = t.cfg.queue_cap })
-    else if t.cfg.backpressure_fill >= 1.0 then
-      (* 1.0 means "trigger off" by contract — and must be tested
-         explicitly, because [log_third_fill] legitimately reads exactly
-         1.0 while the head sits on a third boundary. *)
-      None
-    else
-      let fill = Fsd.log_third_fill v.v_fsd in
-      if fill >= t.cfg.backpressure_fill then
-        reject v.c_reject_backpressure
-          (Backpressure { depth; fill; threshold = t.cfg.backpressure_fill })
-      else None
+    end
   end
 
 (* Admission has already passed when this runs. [Fs_error] is a client
@@ -484,9 +460,7 @@ let run_op t v s op =
     end
   else s.state <- Parked { vol = v.v_id; token; since = t_end; op }
 
-let reject_label = function
-  | Queue_full _ -> "queue_full"
-  | Backpressure _ -> "backpressure"
+let reject_label (Queue_full _) = "queue_full"
 
 let step t s =
   match s.steps with
@@ -711,7 +685,6 @@ let create_volumes ?(config = default_config) vset scripts =
           v_batch_size = Metrics.dist m "server.batch_size";
           v_op_latency_us = Metrics.dist m "server.op_latency_us";
           c_reject_queue_full = Metrics.counter m "server.rejects.queue_full";
-          c_reject_backpressure = Metrics.counter m "server.rejects.backpressure";
           c_retries = Metrics.counter m "server.retries";
           c_dropped = Metrics.counter m "server.dropped";
           c_acked = Metrics.counter m "server.acked";
@@ -800,8 +773,6 @@ let run t =
        else float_of_int mutations_acked /. float_of_int log_forces);
     total_rejected = total (fun s -> s.rejected);
     reject_queue_full = vtotal (fun v -> Metrics.counter_value v.c_reject_queue_full);
-    reject_backpressure =
-      vtotal (fun v -> Metrics.counter_value v.c_reject_backpressure);
     total_retries = vtotal (fun v -> Metrics.counter_value v.c_retries);
     total_dropped = total (fun s -> s.dropped);
     total_errors = total (fun s -> s.errors);
@@ -899,7 +870,6 @@ let report_json r =
        ("ops_per_force", Jsonb.Float r.ops_per_force);
        ("rejected", Jsonb.Int r.total_rejected);
        ("rejects_queue_full", Jsonb.Int r.reject_queue_full);
-       ("rejects_backpressure", Jsonb.Int r.reject_backpressure);
        ("retries", Jsonb.Int r.total_retries);
        ("dropped", Jsonb.Int r.total_dropped);
        ("errors", Jsonb.Int r.total_errors);

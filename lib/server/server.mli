@@ -15,14 +15,13 @@
     Each volume's batcher forces on three triggers: its half-second
     commit interval, [max_batch] sessions parked on it, or an explicit
     client [Force] (which flushes every live volume). Admission control
-    rejects — never blocks — on two distinct triggers judged against
-    the op's target volume: {!Queue_full} when [queue_cap] sessions are
-    already parked there (unconditional, so each parked queue stays
-    bounded at any log fill), and {!Backpressure} when that volume's
-    current log third is past [backpressure_fill]. A rejected step
-    stays at the head of its script and is retried after the volume's
-    next commit opportunity, up to [admission_retries] times; only then
-    is it dropped, and the drop is counted in the report.
+    rejects — never blocks — with {!Queue_full} when [queue_cap]
+    sessions are already parked on the op's target volume
+    (unconditional, so each parked queue stays bounded at any log
+    fill). A rejected step stays at the head of its script and is
+    retried after the volume's next commit opportunity, up to
+    [admission_retries] times; only then is it dropped, and the drop is
+    counted in the report.
 
     One code path serves any volume count: the single-volume server
     ({!create}, over {!Cedar_volumes.Volume_set.of_fsd}) is the same
@@ -41,9 +40,6 @@ type error =
   | Queue_full of { depth : int; cap : int }
       (** [depth] sessions were parked against a cap of [cap] — the
           unconditional admission depth cap *)
-  | Backpressure of { depth : int; fill : float; threshold : float }
-      (** the current log third is [fill] consumed, past the configured
-          [threshold] *)
 (** Why admission rejected a mutating operation. *)
 
 val pp_error : Format.formatter -> error -> unit
@@ -51,10 +47,6 @@ val pp_error : Format.formatter -> error -> unit
 type config = {
   max_batch : int;  (** parked sessions that trigger an early force *)
   queue_cap : int;  (** unconditional admission depth cap *)
-  backpressure_fill : float;
-      (** {!Cedar_fsd.Fsd.log_third_fill} fraction at which mutating
-          admissions are rejected with {!Backpressure}; 0.0 rejects
-          every mutation, 1.0 disables the trigger *)
   admission_retries : int;
       (** rejected steps are retried this many times (after the next
           commit opportunity each time) before being dropped *)
@@ -68,8 +60,8 @@ type config = {
 }
 
 val default_config : config
-(** [max_batch = 64], [queue_cap = 256], [backpressure_fill = 1.0]
-    (fill trigger off), [admission_retries = 8], no hooks. *)
+(** [max_batch = 64], [queue_cap = 256], [admission_retries = 8], no
+    hooks. *)
 
 type t
 
@@ -105,7 +97,6 @@ type report = {
   ops_per_force : float;  (** mutations acked per log force *)
   total_rejected : int;
   reject_queue_full : int;  (** [server.rejects.queue_full] counter *)
-  reject_backpressure : int;  (** [server.rejects.backpressure] counter *)
   total_retries : int;  (** [server.retries] counter *)
   total_dropped : int;
   total_errors : int;
@@ -130,8 +121,8 @@ val create :
     Registers the [server.queue_depth] gauge, the
     [server.commit_wait_us] / [server.batch_size] distributions, and
     the admission counters [server.rejects.queue_full],
-    [server.rejects.backpressure], [server.retries] and
-    [server.dropped] in the volume's metrics registry (so
+    [server.retries] and [server.dropped] in the volume's metrics
+    registry (so
     [cedar serve --json] and [cedar stats] expose them). Raises
     [Invalid_argument] on an empty script array or a non-positive
     [max_batch]/[queue_cap]. *)

@@ -1,6 +1,6 @@
 (* Concurrent multi-client server and group-commit batcher (ISSUE 4):
    determinism, batching amortisation, fairness under a bulk writer,
-   backpressure rejects, crash atomicity of acknowledged transactions,
+   admission rejects and drops, crash atomicity of acknowledged transactions,
    the Demons.run_due split, and the script-file parser. *)
 
 open Cedar_util
@@ -148,13 +148,9 @@ let test_queue_cap_unconditional () =
       max_batch = 1000;
       on_reject =
         Some
-          (fun ~client e ->
-            (match e with
-            | S.Queue_full { depth; cap } ->
-              check int "cap reported" 2 cap;
-              check bool "depth at or over cap" true (depth >= cap)
-            | S.Backpressure _ ->
-              Alcotest.fail "fill trigger is disabled at threshold 1.0");
+          (fun ~client (S.Queue_full { depth; cap }) ->
+            check int "cap reported" 2 cap;
+            check bool "depth at or over cap" true (depth >= cap);
             rejects := client :: !rejects);
     }
   in
@@ -172,35 +168,37 @@ let test_queue_cap_unconditional () =
     (r.S.mutations_acked + r.S.total_dropped);
   check int "retries eventually drained the queue" 0 r.S.total_dropped
 
-(* Regression (ISSUE 5): log-fill backpressure is a distinct trigger
-   with its own typed error, and exhausting the bounded retries turns
-   into an accounted drop — not a silent loss. *)
-let test_backpressure_typed_reject () =
+(* Regression: exhausting the bounded retries turns a reject into an
+   accounted drop — not a silent loss. With a cap of one and no retries,
+   session 1 meets session 0 parked on the volume at each of its creates
+   and drops both; session 0 is never rejected. *)
+let test_exhausted_retries_dropped () =
   let _, fs = fresh_fs () in
-  let saw = ref 0 in
+  let saw = ref [] in
   let config =
     {
       S.default_config with
-      S.backpressure_fill = 0.0;
-      admission_retries = 2;
+      S.queue_cap = 1;
+      admission_retries = 0;
       on_reject =
         Some
-          (fun ~client:_ e ->
-            match e with
-            | S.Backpressure { depth; threshold; _ } ->
-              check int "queue empty at reject time" 0 depth;
-              check bool "threshold echoed" true (threshold = 0.0);
-              incr saw
-            | S.Queue_full _ ->
-              Alcotest.fail "queue is nowhere near its cap");
+          (fun ~client (S.Queue_full { depth; cap }) ->
+            check int "cap reported" 1 cap;
+            check int "the other session is parked" 1 depth;
+            saw := client :: !saw);
     }
   in
-  let scripts = [| create_script ~client:0 ~creates:2 ~bytes:600 ~think:0 |] in
+  let scripts =
+    Array.init 2 (fun client ->
+        create_script ~client ~creates:2 ~bytes:600 ~think:0)
+  in
   let r = S.serve ~config fs scripts in
-  check int "arrival + 2 retries rejected per step" 6 r.S.total_rejected;
-  check int "hook saw every reject" 6 !saw;
+  check int "one reject per step of session 1" 2 r.S.total_rejected;
+  check (Alcotest.list int) "hook saw every reject" [ 1; 1 ] !saw;
+  check int "no retries allowed" 0 r.S.total_retries;
   check int "exhausted retries counted as drops" 2 r.S.total_dropped;
-  check int "nothing acked" 0 r.S.mutations_acked
+  check int "session 0's creates acked" 2 r.S.mutations_acked;
+  check int "rejects are not errors" 0 r.S.total_errors
 
 (* ------------------------------------------------------------------ *)
 (* Crash atomicity: acked present, unacked absent                       *)
@@ -379,8 +377,8 @@ let suite =
       test_fairness_no_starvation;
     Alcotest.test_case "depth cap holds even with an empty log" `Quick
       test_queue_cap_unconditional;
-    Alcotest.test_case "fill backpressure is a distinct typed reject" `Quick
-      test_backpressure_typed_reject;
+    Alcotest.test_case "exhausted retries are accounted drops" `Quick
+      test_exhausted_retries_dropped;
     Alcotest.test_case "crash keeps acked, drops unacked" `Quick
       test_crash_atomicity;
     Alcotest.test_case "Demons.run_due matches Fsd.tick" `Quick
