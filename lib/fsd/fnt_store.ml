@@ -2,11 +2,13 @@ open Cedar_util
 open Cedar_disk
 open Cedar_fsbase
 
+(* [modified] and [third] are written only by [set_modified] and
+   [set_third], which keep the store's counts of them in step. *)
 type cached = {
   mutable payload : string; (* immutable: readers share it, writes replace it *)
   mutable dirty : bool;
-  mutable modified : bool; (* changed since last logged *)
-  mutable third : int option; (* where the image was last logged *)
+  mutable modified : bool; (* changed since last logged; implies [dirty] *)
+  mutable third : int option; (* where the image was last logged; implies [dirty] *)
   mutable dirtied_at : int; (* virtual time the page last became dirty *)
   mutable logged : string option;
       (* The committed image as last logged, retained from the moment the
@@ -27,6 +29,8 @@ type t = {
   layout : Layout.t;
   cache : (int, cached) Lru.t;
   dirty : (int, cached) Hashtbl.t; (* exactly the cached pages with [dirty] set *)
+  mutable to_log : int; (* dirty pages with [modified] set *)
+  in_third : int array; (* dirty pages whose [third] is each log third *)
   anchor : anchor;
   mutable free_pages : int; (* clear bits of [anchor.alloc_map] past page 0 *)
   mutable note_dirty : int -> unit;
@@ -52,14 +56,13 @@ let frame layout ~page payload =
   let full = full_page_bytes layout in
   if String.length payload <> full - trailer_bytes then
     invalid_arg "Fnt_store.frame: payload size";
-  let out = Bytes.make full '\000' in
-  Bytes.blit_string payload 0 out 0 (String.length payload);
-  let w = Bytebuf.Writer.create ~initial:trailer_bytes () in
-  Bytebuf.Writer.u32 w page_magic;
-  Bytebuf.Writer.u32 w page;
-  Bytebuf.Writer.u32 w (Crc32.string payload);
-  Bytebuf.Writer.u32 w 0;
-  Bytes.blit (Bytebuf.Writer.contents w) 0 out (full - trailer_bytes) trailer_bytes;
+  let out = Bytes.create full in
+  let at = full - trailer_bytes in
+  Bytes.blit_string payload 0 out 0 at;
+  Bytes.set_int32_le out at (Int32.of_int page_magic);
+  Bytes.set_int32_le out (at + 4) (Int32.of_int page);
+  Bytes.set_int32_le out (at + 8) (Int32.of_int (Crc32.string payload));
+  Bytes.set_int32_le out (at + 12) 0l;
   out
 
 let unframe layout ~page image =
@@ -224,6 +227,8 @@ let mk device layout anchor =
       layout;
       cache = Lru.create ~capacity:layout.Layout.params.Params.cache_pages;
       dirty = Hashtbl.create 64;
+      to_log = 0;
+      in_third = Array.make 3 0;
       anchor;
       free_pages =
         (let map = anchor.alloc_map in
@@ -265,13 +270,29 @@ let on_drop t f = t.on_drop <- f :: t.on_drop
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 
+let set_modified t c m =
+  if c.modified <> m then begin
+    c.modified <- m;
+    t.to_log <- (if m then t.to_log + 1 else t.to_log - 1)
+  end
+
+let set_third t c third =
+  (match c.third with Some j -> t.in_third.(j) <- t.in_third.(j) - 1 | None -> ());
+  (match third with Some j -> t.in_third.(j) <- t.in_third.(j) + 1 | None -> ());
+  c.third <- third
+
 let dropped t page = List.iter (fun f -> f page) t.on_drop
 let evicted t victims = List.iter (fun (page, _) -> dropped t page) victims
 
-let insert_cache t page c =
+(* A missed page enters the cache clean, or dirty and modified. *)
+let insert_cache t page ~payload ~dirty ~dirtied_at =
+  let c =
+    { payload; dirty; modified = false; third = None; dirtied_at; logged = None }
+  in
   (* Evictions are always clean (dirty pages are pinned). *)
   evicted t (Lru.add t.cache page c);
-  if c.dirty then begin
+  if dirty then begin
+    set_modified t c true;
     Hashtbl.replace t.dirty page c;
     Lru.pin t.cache page
   end
@@ -281,15 +302,7 @@ let read t page =
   | Some c -> c.payload
   | None ->
     let payload = read_home t page in
-    insert_cache t page
-      {
-        payload;
-        dirty = false;
-        modified = false;
-        third = None;
-        dirtied_at = 0;
-        logged = None;
-      };
+    insert_cache t page ~payload ~dirty:false ~dirtied_at:0;
     payload
 
 let write t page payload =
@@ -302,24 +315,15 @@ let write t page payload =
        must go home if its third reclaims before this change commits. *)
     if c.dirty && (not c.modified) && c.logged = None then c.logged <- Some c.payload;
     c.payload <- payload;
-    c.modified <- true;
     if not c.dirty then begin
       c.dirty <- true;
-      c.third <- None;
+      set_third t c None;
       c.dirtied_at <- now;
       Hashtbl.replace t.dirty page c;
       Lru.pin t.cache page
-    end
-  | None ->
-    insert_cache t page
-      {
-        payload;
-        dirty = true;
-        modified = true;
-        third = None;
-        dirtied_at = now;
-        logged = None;
-      });
+    end;
+    set_modified t c true
+  | None -> insert_cache t page ~payload ~dirty:true ~dirtied_at:now);
   t.note_dirty page
 
 (* Anchor mutations are ordinary writes of page 0. *)
@@ -347,6 +351,11 @@ let free t page =
     invalid_arg "Fnt_store.free";
   Bitmap.clear t.anchor.alloc_map page;
   t.free_pages <- t.free_pages + 1;
+  (match Lru.peek t.cache page with
+  | Some c ->
+    set_modified t c false;
+    set_third t c None
+  | None -> ());
   Lru.remove t.cache page;
   Hashtbl.remove t.dirty page;
   dropped t page;
@@ -398,8 +407,8 @@ let mark_logged t pages ~third =
     (fun page ->
       match Lru.peek t.cache page with
       | Some c when c.dirty ->
-        c.third <- Some third;
-        c.modified <- false;
+        set_third t c (Some third);
+        set_modified t c false;
         (* The payload is now itself the committed image. *)
         c.logged <- None
       | Some _ | None -> ())
@@ -416,12 +425,12 @@ let home_write t page c =
   if Cedar_obs.Trace.enabled tr then
     Cedar_obs.Trace.emit tr ~at:now (Cedar_obs.Trace.Fnt_write_twice { page });
   t.home_writes <- t.home_writes + 1;
-  c.third <- None;
+  set_third t c None;
   c.logged <- None;
   if not diverged then begin
     Stats.add t.dirty_age (float_of_int (now - c.dirtied_at));
     c.dirty <- false;
-    c.modified <- false;
+    set_modified t c false;
     Hashtbl.remove t.dirty page;
     evicted t (Lru.unpin t.cache page)
   end
@@ -453,12 +462,15 @@ let flush_third t third =
    entry remains the correctness backstop. *)
 let flush_some_third t third ~budget =
   let victims =
-    Hashtbl.fold
-      (fun page c acc ->
-        if c.third = Some third && not (c.modified && c.logged = None) then (page, c) :: acc
-        else acc)
-      t.dirty []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    if t.in_third.(third) = 0 then []
+    else
+      Hashtbl.fold
+        (fun page c acc ->
+          if c.third = Some third && not (c.modified && c.logged = None) then
+            (page, c) :: acc
+          else acc)
+        t.dirty []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let n = ref 0 in
   List.iter
@@ -485,8 +497,17 @@ let pages_to_log t =
   Hashtbl.fold (fun page c acc -> if c.modified then page :: acc else acc) t.dirty []
   |> List.sort compare
 
-let pages_to_log_count t =
-  Hashtbl.fold (fun _ c n -> if c.modified then n + 1 else n) t.dirty 0
+let pages_to_log_count t = t.to_log
+let pages_in_third t third = t.in_third.(third)
+
+(* The maintained counts, recomputed from the whole cache: a page
+   counted here but missing from the dirty table breaks them too. *)
+let recount t =
+  let to_log = ref 0 and in_third = Array.make 3 0 in
+  Lru.iter t.cache (fun _ c ->
+      if c.modified then incr to_log;
+      Option.iter (fun j -> in_third.(j) <- in_third.(j) + 1) c.third);
+  (!to_log, in_third)
 
 let cached_pages t = Lru.size t.cache
 

@@ -19,9 +19,11 @@
     recognise a page it has already decoded by physical equality. Every
     page leaving the cache (evicted, freed, dropped) is reported to the
     [on_drop] hooks. Dirty pages are also kept in a table of their own,
-    so per-force work ([pages_to_log], [pages_to_log_count],
-    [dirty_pages], [flush_some_third]) costs O(dirty pages), not
-    O(cache). *)
+    so per-force work ([pages_to_log], [dirty_pages]) costs O(dirty
+    pages), not O(cache). The store also counts the pages still to log
+    and the pages last logged in each third, so the per-op questions
+    [pages_to_log_count] and [pages_in_third] cost O(1), and
+    [flush_some_third] returns at once when its third holds nothing. *)
 
 type t
 
@@ -116,7 +118,15 @@ val pages_to_log : t -> int list
     batch, in ascending order. *)
 
 val pages_to_log_count : t -> int
-(** [List.length (pages_to_log t)] without building the list. *)
+(** [List.length (pages_to_log t)]; maintained, O(1). *)
+
+val pages_in_third : t -> int -> int
+(** How many dirty pages were last logged in the given third; maintained,
+    O(1). *)
+
+val recount : t -> int * int array
+(** [(pages_to_log_count t, [| pages_in_third t 0; ... 2 |])] recomputed
+    by walking the cache — the check on the maintained counts. *)
 
 val cached_pages : t -> int
 val drop_clean_cache : t -> unit

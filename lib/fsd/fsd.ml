@@ -44,7 +44,9 @@ type meters = {
    newest image is logged at the next force while [modified]; [logged]
    retains the last committed image together with the third holding its
    log copy — when that third reclaims, the committed image (never an
-   uncommitted newer one) is what goes home. *)
+   uncommitted newer one) is what goes home. [logged] is written only by
+   [set_leader_logged], which keeps [leaders_in_third] in step; an entry
+   is set back to [None] before it is removed or replaced. *)
 type pending_leader = {
   mutable image : bytes;
   mutable modified : bool; (* image changed since last logged *)
@@ -61,6 +63,7 @@ type t = {
   log : Log.t;
   alloc : Alloc.t;
   pending_leaders : (int, pending_leader) Hashtbl.t;
+  leaders_in_third : int array; (* pending leaders whose [logged] names each third *)
   chunk_thirds : (int, int) Hashtbl.t; (* VAM chunk -> third of its log copy *)
   verified : (int64, unit) Hashtbl.t; (* uids whose leader checked out *)
   mutable last_force : int;
@@ -173,6 +176,23 @@ let corrupt msg = Fs_error.raise_ (Fs_error.Corrupt_metadata msg)
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
 
+let set_leader_logged t pl logged =
+  let count (j, _) d = t.leaders_in_third.(j) <- t.leaders_in_third.(j) + d in
+  Option.iter (fun l -> count l (-1)) pl.logged;
+  Option.iter (fun l -> count l 1) logged;
+  pl.logged <- logged
+
+let remove_pending_leader t sector =
+  match Hashtbl.find_opt t.pending_leaders sector with
+  | Some pl ->
+    set_leader_logged t pl None;
+    Hashtbl.remove t.pending_leaders sector
+  | None -> ()
+
+let clear_pending_leaders t =
+  Hashtbl.reset t.pending_leaders;
+  Array.fill t.leaders_in_third 0 3 0
+
 (* Leaders logged in third [j] but never piggybacked must be written by
    the logging code before the third is overwritten (§5.3). With VAM
    logging, chunk images living in [j] are about to die too: rewrite the
@@ -180,22 +200,23 @@ let corrupt msg = Fs_error.raise_ (Fs_error.Corrupt_metadata msg)
    ignores every older (stale) chunk image still in the log. *)
 let home_due_leaders t j ~budget =
   let due = ref [] in
-  Hashtbl.iter
-    (fun sector pl ->
-      match pl.logged with
-      | Some (j', image) when j' = j -> due := (sector, image, pl) :: !due
-      | Some _ | None -> ())
-    t.pending_leaders;
+  if t.leaders_in_third.(j) > 0 then
+    Hashtbl.iter
+      (fun sector pl ->
+        match pl.logged with
+        | Some (j', image) when j' = j -> due := (sector, image, pl) :: !due
+        | Some _ | None -> ())
+      t.pending_leaders;
   let written = ref 0 in
   List.iter
     (fun (sector, image, pl) ->
       if !written < budget then begin
         Device.write t.device sector image;
         Metrics.inc t.meters.m_leader_home_writes;
-        pl.logged <- None;
+        set_leader_logged t pl None;
         (* A newer uncommitted image keeps the entry alive until its own
            commit; otherwise the leader is fully home. *)
-        if not pl.modified then Hashtbl.remove t.pending_leaders sector;
+        if not pl.modified then remove_pending_leader t sector;
         incr written
       end)
     (List.sort (fun (a, _, _) (b, _, _) -> compare a b) !due);
@@ -240,7 +261,7 @@ let note_logged t batch ~third =
       | Log.Leader_page s -> (
         match Hashtbl.find_opt t.pending_leaders s with
         | Some pl ->
-          pl.logged <- Some (third, u.Log.image);
+          set_leader_logged t pl (Some (third, u.Log.image));
           pl.modified <- false
         | None -> ())
       | Log.Vam_chunk c -> Hashtbl.replace t.chunk_thirds c third
@@ -600,7 +621,7 @@ let delete_version_unchecked t name version =
       (* The leader and the data pages return to the VAM at commit. *)
       Alloc.free_on_commit t.alloc
         ({ Run_table.start = e.Entry.anchor; len = 1 } :: Run_table.runs e.Entry.runs);
-      Hashtbl.remove t.pending_leaders e.Entry.anchor
+      remove_pending_leader t e.Entry.anchor
     end;
     Hashtbl.remove t.verified e.Entry.uid
 
@@ -673,6 +694,9 @@ let create_common t ~name ~keep ~data_pages ~byte_size ~kind data_opt =
     Hashtbl.replace t.verified uid ()
   | None ->
     (* No data write to piggyback on: the leader goes through the log. *)
+    Option.iter
+      (fun old -> set_leader_logged t old None)
+      (Hashtbl.find_opt t.pending_leaders anchor);
     Hashtbl.replace t.pending_leaders anchor
       { image = limage; modified = true; logged = None });
   enforce_keep t name version keep;
@@ -1395,6 +1419,7 @@ let boot ?params device =
       log;
       alloc = Alloc.create vam;
       pending_leaders = Hashtbl.create 32;
+      leaders_in_third = Array.make 3 0;
       chunk_thirds = Hashtbl.create 32;
       verified = Hashtbl.create 256;
       last_force = Simclock.now clock;
@@ -1463,7 +1488,7 @@ let shutdown t =
       Device.write t.device sector pl.image;
       Metrics.inc t.meters.m_leader_home_writes)
     t.pending_leaders;
-  Hashtbl.reset t.pending_leaders;
+  clear_pending_leaders t;
   Log.reset_pointer t.log;
   let mode = if t.params.Params.log_vam then Vam.Log_based else Vam.Snapshot in
   Vam.save ~mode
@@ -1543,6 +1568,29 @@ let check t =
         Printf.sprintf "fnt: free count %d but %d pages free"
           (Fnt_store.free_pages t.store) free
         :: !bad;
+    (* The maintained dirty-page and pending-leader counts against a
+       recount. *)
+    let to_log, pages_in = Fnt_store.recount t.store in
+    let leaders_in = Array.make 3 0 in
+    Hashtbl.iter
+      (fun _ pl ->
+        Option.iter (fun (j, _) -> leaders_in.(j) <- leaders_in.(j) + 1) pl.logged)
+      t.pending_leaders;
+    let counts name maintained recounted =
+      if maintained <> recounted then
+        bad :=
+          Printf.sprintf "%s: count %d but %d recounted" name maintained recounted
+          :: !bad
+    in
+    counts "fnt: pages to log" (Fnt_store.pages_to_log_count t.store) to_log;
+    for j = 0 to 2 do
+      counts
+        (Printf.sprintf "fnt: pages in third %d" j)
+        (Fnt_store.pages_in_third t.store j) pages_in.(j);
+      counts
+        (Printf.sprintf "leaders in third %d" j)
+        t.leaders_in_third.(j) leaders_in.(j)
+    done;
     let vam = Alloc.vam t.alloc in
     let recounted = Vam.recount_free vam in
     if recounted <> Vam.free_count vam then

@@ -111,7 +111,12 @@ module Reader = struct
     let n = u16 r in
     raw r n
 
-  let string r = Bytes.to_string (bytes r)
+  let string r =
+    let n = u16 r in
+    need r n;
+    let s = Bytes.sub_string r.buf r.pos n in
+    r.pos <- r.pos + n;
+    s
 
   let fixed_string r ~width =
     let b = raw r width in

@@ -27,7 +27,8 @@ type step =
 type script = step list
 
 val content : fill:int -> int -> bytes
-(** The deterministic payload a [Create] carries. *)
+(** The deterministic payload a [Create] carries: byte [i] is
+    [(i + fill) mod 251]. [fill] must not be negative. *)
 
 val pp_op : Format.formatter -> op -> unit
 val op_name : op -> string

@@ -669,6 +669,98 @@ let prop_btree_memo_vs_map =
       List.for_all (fun op -> step op && consistent ()) ops)
 
 (* ------------------------------------------------------------------ *)
+(* Fsd: random creates, deletes, forces, demon ticks and full home-write
+   passes on a tiny volume whose log wraps every few forces. After every
+   step [Fsd.check] holds — among its clauses, the maintained counts of
+   dirty pages to log, of dirty pages and pending leaders per log third —
+   and the name table holds exactly the model's names. *)
+
+module Fsd = Cedar_fsd.Fsd
+
+type fsd_op =
+  | Fs_create of int * int
+  | Fs_create_empty of int * int (* leader goes through the log *)
+  | Fs_delete of int
+  | Fs_force
+  | Fs_tick of int (* demons: interval commit and home-write bursts *)
+  | Fs_home_all (* every dirty page and leader written home *)
+
+let fsd_op_gen =
+  let open QCheck.Gen in
+  let k = int_bound 39 in
+  frequency
+    [
+      (5, map2 (fun k n -> Fs_create (k, n)) k (int_bound 2000));
+      (2, map2 (fun k p -> Fs_create_empty (k, p)) k (int_range 1 3));
+      (4, map (fun k -> Fs_delete k) k);
+      (2, return Fs_force);
+      (2, map (fun us -> Fs_tick us) (int_range 1_000 300_000));
+      (1, return Fs_home_all);
+    ]
+
+let fsd_op_print = function
+  | Fs_create (k, n) -> Printf.sprintf "create %d/%d" k n
+  | Fs_create_empty (k, p) -> Printf.sprintf "create_empty %d/%d" k p
+  | Fs_delete k -> Printf.sprintf "delete %d" k
+  | Fs_force -> "force"
+  | Fs_tick us -> Printf.sprintf "tick %d" us
+  | Fs_home_all -> "home all"
+
+let prop_fsd_counts_hold =
+  QCheck.Test.make ~count:40
+    ~name:"fsd: check (maintained counts included) holds after every step"
+    (QCheck.make
+       ~print:QCheck.Print.(list fsd_op_print)
+       QCheck.Gen.(list_size (int_range 1 150) fsd_op_gen))
+    (fun ops ->
+      let geom = Geometry.tiny_test in
+      let device = Device.create ~clock:(Simclock.create ()) geom in
+      Fsd.format device (Cedar_fsd.Params.for_geometry geom);
+      let fs, _ = Fsd.boot device in
+      (* Long names spread the name table over several pages, so creates
+         split pages and deletes free them. *)
+      let name k = Printf.sprintf "d/%s%02d" (String.make 48 'n') k in
+      let live = Array.make 40 false in
+      let attempt k f =
+        match f () with
+        | (_ : Fs_ops.info) -> live.(k) <- true
+        | exception
+            Fs_error.Fs_error
+              (Fs_error.Volume_full | Fs_error.Name_table_full
+              | Fs_error.Too_fragmented _) ->
+          ()
+      in
+      let step = function
+        | Fs_create (k, n) ->
+          attempt k (fun () ->
+              Fsd.create fs ~name:(name k) ~keep:1 (Bytes.make n (Char.chr (k + 65))))
+        | Fs_create_empty (k, pages) ->
+          attempt k (fun () -> Fsd.create_empty fs ~name:(name k) ~keep:1 ~pages ())
+        | Fs_delete k ->
+          if live.(k) then begin
+            Fsd.delete fs ~name:(name k);
+            live.(k) <- false
+          end
+        | Fs_force -> Fsd.force fs
+        | Fs_tick us -> Fsd.tick fs ~us
+        | Fs_home_all -> Fsd.drop_caches fs
+      in
+      List.iter
+        (fun op ->
+          step op;
+          (match Fsd.check fs with
+          | Ok () -> ()
+          | Error m -> QCheck.Test.fail_reportf "after %s: %s" (fsd_op_print op) m);
+          Array.iteri
+            (fun k l ->
+              if Fsd.exists fs ~name:(name k) <> l then
+                QCheck.Test.fail_reportf "after %s: name %d live=%b" (fsd_op_print op) k
+                  l)
+            live)
+        ops;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Geometry: chs mapping is a bijection for random geometries. *)
 
 let prop_geometry_chs_bijection =
@@ -711,5 +803,6 @@ let suite =
       prop_bitmap_find_run_down_correct;
       prop_vam_pending_runs_match_shadow_bitmap;
       prop_btree_memo_vs_map;
+      prop_fsd_counts_hold;
       prop_geometry_chs_bijection;
     ]

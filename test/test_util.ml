@@ -64,6 +64,44 @@ let test_crc32_slice () =
   let b = Bytes.of_string "xx123456789yy" in
   check int "slice" 0xcbf43926 (Crc32.bytes ~pos:2 ~len:9 b)
 
+(* Bit at a time, no table: shares nothing with the sliced version. *)
+let crc32_reference b ~pos ~len =
+  let c = ref 0xffffffff in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xffffffff
+
+let test_crc32_matches_reference () =
+  let rng = Random.State.make [| 32 |] in
+  for len = 0 to 2048 do
+    let b = Bytes.init (len + 9) (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let whole = Bytes.sub b 0 len in
+    let expect = crc32_reference whole ~pos:0 ~len in
+    if Crc32.bytes whole <> expect || Crc32.string (Bytes.to_string whole) <> expect
+    then Alcotest.failf "length %d" len;
+    (* An unaligned slice and its tail: every start offset mod 8 is hit. *)
+    let pos = 1 + (len mod 8) in
+    if Crc32.bytes ~pos ~len b <> crc32_reference b ~pos ~len then
+      Alcotest.failf "slice pos %d len %d" pos len;
+    if Crc32.bytes ~pos b <> crc32_reference b ~pos ~len:(len + 9 - pos) then
+      Alcotest.failf "tail from pos %d of %d" pos (len + 9)
+  done
+
+let test_crc32_bad_range () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %s" pos
+           (match len with Some l -> string_of_int l | None -> "-"))
+        (Invalid_argument "Crc32.bytes")
+        (fun () -> ignore (Crc32.bytes ~pos ?len b)))
+    [ (-1, None); (0, Some (-1)); (0, Some 17); (9, Some 8); (17, None); (16, Some 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* Bitmap                                                              *)
 
@@ -234,6 +272,8 @@ let suite =
     ("bytebuf bad bool", `Quick, test_bytebuf_bad_bool);
     ("crc32 known vector", `Quick, test_crc32_known);
     ("crc32 slice", `Quick, test_crc32_slice);
+    ("crc32 matches a bitwise reference", `Quick, test_crc32_matches_reference);
+    ("crc32 rejects a bad range", `Quick, test_crc32_bad_range);
     ("bitmap basic", `Quick, test_bitmap_basic);
     ("bitmap runs", `Quick, test_bitmap_runs);
     ("bitmap bytes roundtrip", `Quick, test_bitmap_bytes_roundtrip);

@@ -214,6 +214,22 @@ let test_shard_scripts_pin_clients () =
       | _ -> Alcotest.fail "unexpected script shape")
     sharded
 
+let test_content_matches_definition () =
+  List.iter
+    (fun n ->
+      for fill = 0 to 600 do
+        let expected = Bytes.init n (fun i -> Char.chr ((i + fill) mod 251)) in
+        if not (Bytes.equal expected (Concurrent.content ~fill n)) then
+          Alcotest.failf "content ~fill:%d %d differs from its definition" fill n
+      done)
+    [ 0; 1; 250; 251; 252; 502; 503; 20_000 ];
+  List.iter
+    (fun (fill, n) ->
+      match Concurrent.content ~fill n with
+      | _ -> Alcotest.failf "content ~fill:%d %d did not raise" fill n
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (-1, 10); (-251, 2); (-600, 20_000) ]
+
 let suite =
   [
     ("size distribution: 50%/8% shape", `Quick, test_size_distribution_shape);
@@ -228,4 +244,5 @@ let suite =
     ("script substitution: {c} and {v}", `Quick, test_script_substitution);
     ("script substitution: error paths", `Quick, test_script_substitution_errors);
     ("shard_scripts pins clients to volumes", `Quick, test_shard_scripts_pin_clients);
+    ("content equals its per-byte definition", `Quick, test_content_matches_definition);
   ]
